@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import shlex
 import subprocess
 import sys
@@ -123,11 +124,11 @@ def load_config(path) -> HyperParams:
 
 
 def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
-    lines = []
-    for c, context in enumerate(vocab.contexts):
-        for w, label in enumerate(vocab.labels):
-            if D[c, w] != 0.0:
-                lines.append(f"{context}\t{label}\t{format_float(D[c, w])}")
+    rows, cols = np.nonzero(D)  # row-major order, as the file lists entries
+    lines = [
+        f"{vocab.contexts[c]}\t{vocab.labels[w]}\t{format_float(value)}"
+        for c, w, value in zip(rows.tolist(), cols.tolist(), D[rows, cols].tolist())
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -265,14 +266,18 @@ def cmd_train(args) -> int:
     else:
         candidate_path = str(args.out) + ".grid.tmp"
         best = None
-        for l1, l2, l3 in itertools.product(GRID_VALUES, repeat=3):
-            cand = replace(hyper, lambda1=l1, lambda2=l2, lambda3=l3)
-            model, model_vocab, history = fit(cand)
-            save_model(candidate_path, model, model_vocab, cand)
-            score = _run_scorer(args.grid_search, candidate_path)
-            print(f"grid: lambda1={l1:g} lambda2={l2:g} lambda3={l3:g} score={format_float(score)}")
-            if best is None or score > best[0]:
-                best = (score, cand, model, model_vocab, history)
+        try:
+            for l1, l2, l3 in itertools.product(GRID_VALUES, repeat=3):
+                cand = replace(hyper, lambda1=l1, lambda2=l2, lambda3=l3)
+                model, model_vocab, history = fit(cand)
+                save_model(candidate_path, model, model_vocab, cand)
+                score = _run_scorer(args.grid_search, candidate_path)
+                print(f"grid: lambda1={l1:g} lambda2={l2:g} lambda3={l3:g} score={format_float(score)}")
+                if best is None or score > best[0]:
+                    best = (score, cand, model, model_vocab, history)
+        finally:
+            if os.path.exists(candidate_path):
+                os.remove(candidate_path)
         score, chosen, model, model_vocab, history = best
         print(
             f"grid best: lambda1={chosen.lambda1:g} lambda2={chosen.lambda2:g} "

@@ -153,6 +153,30 @@ class TestCoocRoundTrip:
         assert vocab2.contexts == ("x", "y")
         np.testing.assert_array_equal(D2, D[:2])
 
+    def test_writer_matches_cell_by_cell_reference(self, tmp_path):
+        rng = np.random.default_rng(12)
+        D = rng.integers(0, 4, size=(9, 7)) * rng.uniform(0.1, 5.0, size=(9, 7))
+        D[rng.random(D.shape) < 0.4] = 0.0
+        D[[2, 5], :] = 0.0
+        D[:, [0, 4]] = 0.0
+        vocab = VocabularyMaps(
+            labels=tuple(f"l{w}" for w in range(7)), contexts=tuple(f"c{c}" for c in range(9))
+        )
+        expected = []
+        for c, context in enumerate(vocab.contexts):
+            for w, label in enumerate(vocab.labels):
+                if D[c, w] != 0.0:
+                    expected.append(f"{context}\t{label}\t{format_float(D[c, w])}")
+        path = tmp_path / "c.tsv"
+        write_cooccurrence_tsv(path, vocab, D)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+    def test_writer_on_all_zero_counts_writes_empty_file(self, tmp_path):
+        vocab = VocabularyMaps(labels=("a",), contexts=("x", "y"))
+        path = tmp_path / "c.tsv"
+        write_cooccurrence_tsv(path, vocab, np.zeros((2, 1)))
+        assert path.read_bytes() == b""
+
     def test_duplicate_lines_accumulate(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("x\ta\t1\nx\ta\t2\n")
@@ -359,6 +383,31 @@ class TestGridSearch:
         )
         assert code == 2
         assert "scoring command exited with" in capsys.readouterr().err
+
+    def _train_with_scorer(self, workspace, scorer):
+        cooc = workspace / "cooc.tsv"
+        main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
+        return main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+                "--grid-search", scorer,
+            ]
+        )
+
+    def test_success_removes_candidate_file(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr("phcle.cli.GRID_VALUES", (0.1, 1.0))
+        assert self._train_with_scorer(workspace, "echo 1; true") == 0
+        assert (workspace / "model.bin").exists()
+        assert not (workspace / "model.bin.grid.tmp").exists()
+
+    def test_failing_scorer_removes_candidate_file(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr("phcle.cli.GRID_VALUES", (1.0,))
+        assert self._train_with_scorer(workspace, "false") == 2
+        assert not (workspace / "model.bin.grid.tmp").exists()
 
     def test_non_numeric_scorer_exits_two(self, workspace, capsys, monkeypatch):
         monkeypatch.setattr("phcle.cli.GRID_VALUES", (1.0,))

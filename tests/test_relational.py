@@ -127,3 +127,86 @@ class TestGradients:
         D, Q, C, W = random_instance(rng, 5, 7, 3)
         assert grad_C(D, Q, C, W).shape == C.shape
         assert grad_W_relational(D, Q, C, W).shape == W.shape
+
+
+def oracle_instance(rng, contexts, labels, dim, max_logit=50.0):
+    """Random instance with zero counts, an empty context row, an empty
+    label column, a context with a zero bound, and logits reaching
+    ``|C^T W| = max_logit``."""
+    D = rng.integers(0, 6, size=(contexts, labels)).astype(float)
+    D[rng.random(D.shape) < 0.5] = 0.0
+    D[1, :] = 0.0
+    D[:, 2] = 0.0
+    Q = D + rng.uniform(0.0, 3.0, size=D.shape)
+    D[0, :] = Q[0, :] = 0.0
+    C = rng.standard_normal((dim, contexts))
+    W = rng.standard_normal((dim, labels))
+    scale = np.sqrt(max_logit / np.abs(C.T @ W).max())
+    return D, Q, C * scale, W * scale
+
+
+def reference_residual(D, Q, C, W):
+    return Q * expit(C.T @ W) - D
+
+
+def reference_objective(D, Q, C, W):
+    X = C.T @ W
+    return float(np.sum(-D * X + Q * (np.maximum(X, 0.0) + np.log1p(np.exp(-np.abs(X))))))
+
+
+class TestOracles:
+    """The in-place kernels against the plain expit/softplus formulas."""
+
+    SHAPES = [(5, 7, 3), (40, 30, 6), (120, 90, 10)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_C_matches_reference(self, seed, shape):
+        D, Q, C, W = oracle_instance(np.random.default_rng(seed), *shape)
+        ref = W @ reference_residual(D, Q, C, W).T
+        got = grad_C(D, Q, C, W)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_W_matches_reference(self, seed, shape):
+        D, Q, C, W = oracle_instance(np.random.default_rng(100 + seed), *shape)
+        ref = C @ reference_residual(D, Q, C, W)
+        got = grad_W_relational(D, Q, C, W)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_objective_matches_reference(self, seed, shape):
+        D, Q, C, W = oracle_instance(np.random.default_rng(200 + seed), *shape)
+        assert emf_objective(D, Q, C, W) == pytest.approx(reference_objective(D, Q, C, W), rel=1e-13)
+
+    def test_inputs_are_left_unchanged(self):
+        D, Q, C, W = oracle_instance(np.random.default_rng(7), 6, 5, 3)
+        copies = [m.copy() for m in (D, Q, C, W)]
+        grad_C(D, Q, C, W)
+        grad_W_relational(D, Q, C, W)
+        emf_objective(D, Q, C, W)
+        for before, after in zip(copies, (D, Q, C, W)):
+            np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", "DQCW")
+    def test_objective_names_the_non_finite_matrix(self, name, bad):
+        mats = dict(zip("DQCW", oracle_instance(np.random.default_rng(3), 6, 5, 3)))
+        mats[name][-1, -1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+            emf_objective(mats["D"], mats["Q"], mats["C"], mats["W"])
+
+    def test_objective_reports_the_first_non_finite_matrix(self):
+        D, Q, C, W = oracle_instance(np.random.default_rng(4), 6, 5, 3)
+        Q[0, 0] = np.nan
+        W[0, 0] = np.inf
+        with pytest.raises(ValueError, match="^Q contains non-finite"):
+            emf_objective(D, Q, C, W)
+
+    def test_objective_overflow_with_finite_inputs_is_inf(self):
+        val = emf_objective(
+            np.array([[0.0]]), np.array([[1e308]]), np.array([[1e154]]), np.array([[1e154]])
+        )
+        assert val == np.inf
