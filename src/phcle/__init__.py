@@ -8,7 +8,6 @@ from .datamodel import (
     GeneralizedEmbeddingModel,
     GeneralizedVocabulary,
     HyperParams,
-    NegativeBoundMatrix,
     VocabularyMaps,
     init_model,
     load_embeddings,
@@ -46,7 +45,6 @@ __all__ = [
     "GeneralizedVocabulary",
     "HistoryRecord",
     "HyperParams",
-    "NegativeBoundMatrix",
     "ParseError",
     "RelationRecord",
     "TrainingHistory",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import shlex
 import subprocess
@@ -18,8 +19,6 @@ from dataclasses import replace
 import numpy as np
 
 from .datamodel import (
-    EmbeddingModel,
-    GeneralizedVocabulary,
     HyperParams,
     VocabularyMaps,
     format_float,
@@ -134,9 +133,12 @@ def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
 
 
 def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
-    triplets = []
-    labels: set[str] = set()
-    contexts: set[str] = set()
+    # One pass: names get ids in order of first appearance; the ids then
+    # map to positions in the sorted vocabulary and the counts are added in
+    # file order, so each cell sums exactly as a line-by-line loop would.
+    context_ids: dict[str, int] = {}
+    label_ids: dict[str, int] = {}
+    rows, cols, values = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -149,33 +151,28 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
                 value = float(parts[2])
             except ValueError:
                 raise ParseError(f"non-numeric count {parts[2]!r}", path=path, line=lineno) from None
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ParseError(f"count must be finite and >= 0, got {parts[2]}", path=path, line=lineno)
-            contexts.add(parts[0])
-            labels.add(parts[1])
-            triplets.append((parts[0], parts[1], value))
-    vocab = VocabularyMaps(labels=tuple(sorted(labels)), contexts=tuple(sorted(contexts)))
-    D = np.zeros((len(vocab.contexts), len(vocab.labels)))
-    for context, label, value in triplets:
-        D[vocab.context_index(context), vocab.label_index(label)] += value
-    return vocab, D
+            rows.append(context_ids.setdefault(parts[0], len(context_ids)))
+            cols.append(label_ids.setdefault(parts[1], len(label_ids)))
+            values.append(value)
 
+    def sorted_names(ids):
+        names = tuple(sorted(ids))
+        position = np.empty(len(names), dtype=np.intp)
+        position[[ids[name] for name in names]] = np.arange(len(names))
+        return names, position
 
-def _flatten_model(model, vocab) -> tuple[EmbeddingModel, VocabularyMaps]:
-    """View a loaded model as a single-context one for the read-only tools."""
-    if isinstance(model, EmbeddingModel):
-        return model, vocab
-    attributes = tuple(itertools.chain.from_iterable(vocab.attribute_lists))
-    if len(set(attributes)) != len(attributes):
-        raise ValueError("attribute names collide across descriptive contexts")
-    U = np.hstack(model.Us) if model.Us else np.zeros((model.dim, 0))
-    flat = EmbeddingModel(W=model.W, C=model.Cs[0], U=U, dim=model.dim)
-    flat_vocab = VocabularyMaps(
-        labels=vocab.labels,
-        contexts=vocab.context_lists[0],
-        attributes=attributes,
+    contexts, context_position = sorted_names(context_ids)
+    labels, label_position = sorted_names(label_ids)
+    vocab = VocabularyMaps(labels=labels, context_lists=(contexts,))
+    D = np.zeros((len(contexts), len(labels)))
+    np.add.at(
+        D,
+        (context_position[np.array(rows, dtype=np.intp)], label_position[np.array(cols, dtype=np.intp)]),
+        np.array(values, dtype=np.float64),
     )
-    return flat, flat_vocab
+    return vocab, D
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +190,12 @@ def cmd_build_cooc(args) -> int:
             decay=args.decay if args.decay is not None else 0.5,
         )
         names = tuple(sorted({name for edge in edges for name in edge}))
-        vocab = VocabularyMaps(labels=names, contexts=names)
+        vocab = VocabularyMaps(labels=names, context_lists=(names,))
     else:
         records = load_relation_file(args.relations)
         vocab = VocabularyMaps(
             labels=tuple(sorted({r.label for r in records})),
-            contexts=tuple(sorted({r.context for r in records})),
+            context_lists=(tuple(sorted({r.context for r in records})),),
         )
     D = build_cooccurrence(records, vocab)
     write_cooccurrence_tsv(args.out, vocab, D.values)
@@ -231,37 +228,21 @@ def cmd_train(args) -> int:
     cooc_vocab, D = read_cooccurrence_tsv(args.cooc)
     hyper = load_config(args.config)
     attr_names = [read_attribute_names(path) for path in args.attrs]
-    contexts_list = []
-    for path, names in zip(args.attrs, attr_names):
-        file_vocab = VocabularyMaps(
-            labels=cooc_vocab.labels, contexts=cooc_vocab.contexts, attributes=names
-        )
-        contexts_list.append(load_attribute_table(path, file_vocab))
-
-    generalized = len(args.attrs) > 1
-    if args.grid_search is not None and generalized:
+    vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, attr_names)
+    contexts_list = [
+        load_attribute_table(path, replace(vocab, attribute_lists=(names,)))
+        for path, names in zip(args.attrs, attr_names)
+    ]
+    if args.grid_search is not None and len(contexts_list) > 1:
         raise ValueError("grid search supports a single descriptive context")
 
     def fit(h: HyperParams):
-        if generalized:
-            model, history = train_generalized([D], contexts_list, h)
-            model_vocab = GeneralizedVocabulary(
-                labels=cooc_vocab.labels,
-                context_lists=(cooc_vocab.contexts,),
-                attribute_lists=tuple(attr_names),
-            )
-        else:
-            vocab = VocabularyMaps(
-                labels=cooc_vocab.labels,
-                contexts=cooc_vocab.contexts,
-                attributes=attr_names[0],
-            )
-            model, history = train(D, contexts_list[0].assoc, contexts_list[0].mask, h, vocab)
-            model_vocab = vocab
-        return model, model_vocab, history
+        if len(contexts_list) > 1:
+            return train_generalized([D], contexts_list, h)
+        return train(D, contexts_list[0].assoc, contexts_list[0].mask, h, vocab)
 
     if args.grid_search is None:
-        model, model_vocab, history = fit(hyper)
+        model, history = fit(hyper)
         chosen = hyper
     else:
         candidate_path = str(args.out) + ".grid.tmp"
@@ -269,22 +250,22 @@ def cmd_train(args) -> int:
         try:
             for l1, l2, l3 in itertools.product(GRID_VALUES, repeat=3):
                 cand = replace(hyper, lambda1=l1, lambda2=l2, lambda3=l3)
-                model, model_vocab, history = fit(cand)
-                save_model(candidate_path, model, model_vocab, cand)
+                model, history = fit(cand)
+                save_model(candidate_path, model, vocab, cand)
                 score = _run_scorer(args.grid_search, candidate_path)
                 print(f"grid: lambda1={l1:g} lambda2={l2:g} lambda3={l3:g} score={format_float(score)}")
                 if best is None or score > best[0]:
-                    best = (score, cand, model, model_vocab, history)
+                    best = (score, cand, model, history)
         finally:
             if os.path.exists(candidate_path):
                 os.remove(candidate_path)
-        score, chosen, model, model_vocab, history = best
+        score, chosen, model, history = best
         print(
             f"grid best: lambda1={chosen.lambda1:g} lambda2={chosen.lambda2:g} "
             f"lambda3={chosen.lambda3:g} score={format_float(score)}"
         )
 
-    save_model(args.out, model, model_vocab, chosen)
+    save_model(args.out, model, vocab, chosen)
     history_path = str(args.out) + ".history.tsv"
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write(history.to_tsv())
@@ -299,7 +280,6 @@ def cmd_train(args) -> int:
 
 def cmd_retrieve(args) -> int:
     model, vocab, _ = load_model(args.model)
-    model, vocab = _flatten_model(model, vocab)
     hits = retrieve_labels(model, vocab, args.query, topk=args.topk)
     if args.tsv:
         for name, sim in hits:
@@ -325,7 +305,6 @@ def _read_label_list(path) -> list[str]:
 
 def cmd_correlate(args) -> int:
     model, vocab, _ = load_model(args.model)
-    model, vocab = _flatten_model(model, vocab)
     subset = _read_label_list(args.labels)
     if not subset:
         raise ValueError(f"label list {args.labels} is empty")
@@ -370,7 +349,6 @@ def _read_vector(path, expected_dim: int) -> np.ndarray:
 
 def cmd_describe(args) -> int:
     model, vocab, _ = load_model(args.model)
-    model, vocab = _flatten_model(model, vocab)
     w_star = _read_vector(args.vector, model.dim)
     desc = describe_embedding(model, vocab, w_star, coverage=args.coverage, top_attrs=args.top_attrs)
     if args.tsv:

@@ -10,15 +10,25 @@ Matrices follow one orientation throughout the package:
   (attributes) each store one column per vocabulary entry, so they are
   ``dim x count``.
 
+One model type covers every run: :class:`EmbeddingModel` holds the shared
+``W`` plus one ``C`` per relational context and one ``U`` per descriptive
+context, and :class:`VocabularyMaps` holds the matching name lists. The
+classic model is the case with one context of each kind; its ``C``/``U``
+and ``contexts``/``attributes`` views, and the ``PHCLE1`` file format,
+serve that case. ``GeneralizedEmbeddingModel`` and
+``GeneralizedVocabulary`` are other names for the same two classes.
+
 All value objects are immutable after construction: array payloads are
 copied to C-ordered float64 and marked read-only.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +41,12 @@ _MODEL_MAGIC_GENERAL = b"PHCLG1"
 DEFAULT_INIT_SCHEME = "uniform_random(0.1)"
 
 
-def _frozen_array(x, name, *, ndim=2):
+def _frozen_array(x, name, *, finite=True):
     arr = np.array(x, dtype=np.float64, order="C", copy=True)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -54,28 +66,55 @@ def _check_name(name: str, kind: str) -> None:
 
 @dataclass(frozen=True)
 class VocabularyMaps:
-    """Bijective name<->index maps for labels, contexts, and attributes."""
+    """Label names plus one name list per relational context
+    (``context_lists``) and per descriptive context (``attribute_lists``).
+
+    The classic model has one of each; ``contexts`` and ``attributes``
+    view that case as flat name lists.
+    """
 
     labels: tuple[str, ...]
-    contexts: tuple[str, ...]
-    attributes: tuple[str, ...] = ()
+    context_lists: tuple[tuple[str, ...], ...]
+    attribute_lists: tuple[tuple[str, ...], ...] = ((),)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "contexts", tuple(self.contexts))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        for kind, names in (
-            ("label", self.labels),
-            ("context", self.contexts),
-            ("attribute", self.attributes),
+        object.__setattr__(self, "context_lists", tuple(tuple(c) for c in self.context_lists))
+        object.__setattr__(self, "attribute_lists", tuple(tuple(a) for a in self.attribute_lists))
+        for kind, lists in (
+            ("label", (self.labels,)),
+            ("context", self.context_lists),
+            ("attribute", self.attribute_lists),
         ):
-            for name in names:
-                _check_name(name, kind)
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate {kind} names")
+            for names in lists:
+                for name in names:
+                    _check_name(name, kind)
+                if len(set(names)) != len(names):
+                    raise ValueError(f"duplicate {kind} names")
         object.__setattr__(self, "_label_idx", {n: i for i, n in enumerate(self.labels)})
-        object.__setattr__(self, "_context_idx", {n: i for i, n in enumerate(self.contexts)})
-        object.__setattr__(self, "_attribute_idx", {n: i for i, n in enumerate(self.attributes)})
+
+    @cached_property
+    def contexts(self) -> tuple[str, ...]:
+        """The context names of the only relational context."""
+        if len(self.context_lists) != 1:
+            raise ValueError(f"vocabulary has {len(self.context_lists)} context lists, not one")
+        return self.context_lists[0]
+
+    @cached_property
+    def attributes(self) -> tuple[str, ...]:
+        """All attribute names, descriptive contexts in order."""
+        names = tuple(itertools.chain.from_iterable(self.attribute_lists))
+        if len(set(names)) != len(names):
+            raise ValueError("attribute names collide across descriptive contexts")
+        return names
+
+    @cached_property
+    def _context_idx(self):
+        return {n: i for i, n in enumerate(self.contexts)}
+
+    @cached_property
+    def _attribute_idx(self):
+        return {n: i for i, n in enumerate(self.attributes)}
 
     def label_index(self, name: str) -> int:
         try:
@@ -104,8 +143,6 @@ class CooccurrenceMatrix:
 
     def __post_init__(self):
         arr = _frozen_array(self.values, "cooccurrence matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("cooccurrence matrix contains non-finite entries")
         if (arr < 0).any():
             raise ValueError("cooccurrence matrix contains negative entries")
         object.__setattr__(self, "values", arr)
@@ -117,21 +154,6 @@ class CooccurrenceMatrix:
                 f"cooccurrence shape {self.values.shape} does not match "
                 f"vocabulary (contexts={expect[0]}, labels={expect[1]})"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class NegativeBoundMatrix:
-    """Per-entry negative-sampling budget, same orientation as the counts."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values, "negative bound matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("negative bound matrix contains non-finite entries")
-        if (arr < 0).any():
-            raise ValueError("negative bound matrix contains negative entries")
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +169,7 @@ class AttributeContext:
     mask: np.ndarray
 
     def __post_init__(self):
-        assoc = np.array(self.assoc, dtype=np.float64, order="C", copy=True)
-        if assoc.ndim != 2:
-            raise ValueError(f"assoc must be 2-dimensional, got shape {assoc.shape}")
-        assoc.setflags(write=False)
+        assoc = _frozen_array(self.assoc, "assoc", finite=False)
         mask = _frozen_array(self.mask, "mask")
         if mask.shape != assoc.shape:
             raise ValueError(f"mask shape {mask.shape} does not match assoc shape {assoc.shape}")
@@ -173,42 +192,13 @@ class AttributeContext:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingModel:
-    """The three learned factors sharing one embedding dimension."""
+    """The shared label factor ``W``, one context factor per relational
+    context (``Cs``) and one attribute factor per descriptive context
+    (``Us``), all with ``dim`` rows.
 
-    W: np.ndarray
-    C: np.ndarray
-    U: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        for name in ("W", "C", "U"):
-            arr = _frozen_array(getattr(self, name), name)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"factor {name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
-        if self.dim < 1:
-            raise ValueError("embedding dimension must be >= 1")
-        for name in ("W", "C", "U"):
-            if getattr(self, name).shape[0] != self.dim:
-                raise ValueError(f"factor {name} has {getattr(self, name).shape[0]} rows, expected dim={self.dim}")
-
-    def check_shapes(self, vocab: VocabularyMaps) -> None:
-        for name, count, kind in (
-            ("W", len(vocab.labels), "labels"),
-            ("C", len(vocab.contexts), "contexts"),
-            ("U", len(vocab.attributes), "attributes"),
-        ):
-            if getattr(self, name).shape[1] != count:
-                raise ValueError(
-                    f"factor {name} has {getattr(self, name).shape[1]} columns, "
-                    f"vocabulary has {count} {kind}"
-                )
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralizedEmbeddingModel:
-    """Shared label factor with one context factor per relational context
-    and one attribute factor per descriptive context."""
+    The classic model has one of each; ``C`` and ``U`` view that case as
+    single factors.
+    """
 
     W: np.ndarray
     Cs: tuple[np.ndarray, ...]
@@ -216,42 +206,50 @@ class GeneralizedEmbeddingModel:
     dim: int
 
     def __post_init__(self):
-        W = _frozen_array(self.W, "W")
-        if not np.isfinite(W).all():
-            raise ValueError("factor W contains non-finite entries")
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "W", _frozen_array(self.W, "factor W"))
         for attr in ("Cs", "Us"):
-            mats = []
-            for i, m in enumerate(getattr(self, attr)):
-                arr = _frozen_array(m, f"{attr[0]}[{i}]")
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"factor {attr[0]}[{i}] contains non-finite entries")
-                mats.append(arr)
-            object.__setattr__(self, attr, tuple(mats))
+            mats = tuple(_frozen_array(m, f"factor {attr[0]}[{i}]") for i, m in enumerate(getattr(self, attr)))
+            object.__setattr__(self, attr, mats)
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
-        for arr in (self.W, *self.Cs, *self.Us):
+        for name, arr in self._factors():
             if arr.shape[0] != self.dim:
-                raise ValueError("all factors must share the embedding dimension")
+                raise ValueError(f"factor {name} has {arr.shape[0]} rows, expected dim={self.dim}")
+
+    def _factors(self):
+        yield "W", self.W
+        yield from ((f"C[{i}]", C) for i, C in enumerate(self.Cs))
+        yield from ((f"U[{j}]", U) for j, U in enumerate(self.Us))
+
+    @property
+    def C(self) -> np.ndarray:
+        """The context factor of the only relational context."""
+        if len(self.Cs) != 1:
+            raise ValueError(f"model has {len(self.Cs)} context factors, not one")
+        return self.Cs[0]
+
+    @property
+    def U(self) -> np.ndarray:
+        """All attribute factors side by side, one column per attribute."""
+        return np.hstack((np.zeros((self.dim, 0)), *self.Us))
+
+    def check_shapes(self, vocab: VocabularyMaps) -> None:
+        counts = (len(vocab.context_lists), len(vocab.attribute_lists))
+        if (len(self.Cs), len(self.Us)) != counts:
+            raise ValueError(
+                f"model has {len(self.Cs)} relational and {len(self.Us)} descriptive contexts, "
+                f"vocabulary has {counts[0]} and {counts[1]}"
+            )
+        expected = [(vocab.labels, "labels")]
+        expected += [(names, "contexts") for names in vocab.context_lists]
+        expected += [(names, "attributes") for names in vocab.attribute_lists]
+        for (name, arr), (names, kind) in zip(self._factors(), expected):
+            if arr.shape[1] != len(names):
+                raise ValueError(f"factor {name} has {arr.shape[1]} columns, vocabulary has {len(names)} {kind}")
 
 
-@dataclass(frozen=True)
-class GeneralizedVocabulary:
-    """Names for a generalized model: one context list per relational
-    context and one attribute list per descriptive context."""
-
-    labels: tuple[str, ...]
-    context_lists: tuple[tuple[str, ...], ...]
-    attribute_lists: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "context_lists", tuple(tuple(c) for c in self.context_lists))
-        object.__setattr__(self, "attribute_lists", tuple(tuple(a) for a in self.attribute_lists))
-        for name in self.labels:
-            _check_name(name, "label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate label names")
+GeneralizedEmbeddingModel = EmbeddingModel
+GeneralizedVocabulary = VocabularyMaps
 
 
 def _simplex_weights(values, name, *, require_nonnegative):
@@ -333,10 +331,19 @@ def parse_init_scheme(scheme: str) -> tuple[str, float]:
     raise ValueError(f"unknown init scheme {scheme!r} (expected 'ones' or 'uniform_random(scale)')")
 
 
-def _draw_factor(kind, scale, rng, shape):
-    if kind == "ones":
-        return np.ones(shape)
-    return rng.uniform(-scale, scale, size=shape)
+def _draw_factors(scheme, seed, dim, n_labels, context_counts, attribute_counts):
+    """Initial ``W``, ``Cs`` and ``Us`` for the given column counts, drawn
+    from one seeded generator in the order W, each C, each U."""
+    kind, scale = parse_init_scheme(scheme)
+    rng = np.random.default_rng(seed)
+
+    def draw(cols):
+        if kind == "ones":
+            return np.ones((dim, cols))
+        return rng.uniform(-scale, scale, size=(dim, cols))
+
+    W = draw(n_labels)
+    return W, [draw(n) for n in context_counts], [draw(n) for n in attribute_counts]
 
 
 def init_model(
@@ -345,29 +352,27 @@ def init_model(
     scheme: str = DEFAULT_INIT_SCHEME,
     seed: int = 0,
 ) -> EmbeddingModel:
-    """Deterministically initialize the three factors.
+    """Deterministically initialize every factor.
 
     ``uniform_random(s)`` draws i.i.d. uniform entries from [-s, s] with a
-    seeded generator; the draw order is W, then C, then U, so identical
-    inputs always produce bitwise-identical models.
+    seeded generator; the draw order is W, then each C, then each U, so
+    identical inputs always produce bitwise-identical models.
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
-    if not vocab.labels or not vocab.contexts:
+    if not vocab.labels or not vocab.context_lists or not all(vocab.context_lists):
         raise ValueError("vocabulary must contain at least one label and one context")
-    kind, scale = parse_init_scheme(scheme)
-    rng = np.random.default_rng(seed)
-    W = _draw_factor(kind, scale, rng, (dim, len(vocab.labels)))
-    C = _draw_factor(kind, scale, rng, (dim, len(vocab.contexts)))
-    U = _draw_factor(kind, scale, rng, (dim, len(vocab.attributes)))
-    return EmbeddingModel(W=W, C=C, U=U, dim=dim)
+    W, Cs, Us = _draw_factors(
+        scheme, seed, dim, len(vocab.labels), map(len, vocab.context_lists), map(len, vocab.attribute_lists)
+    )
+    return EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
 
 
 # ---------------------------------------------------------------------------
 # Text embedding persistence
 
 
-def save_embeddings(model: EmbeddingModel | GeneralizedEmbeddingModel, labels, path) -> None:
+def save_embeddings(model: EmbeddingModel, labels, path) -> None:
     """Write label vectors as text: a "count dim" header, then one
     "name v1 ... vn" line per label at full round-trip precision."""
     labels = tuple(labels)
@@ -544,18 +549,20 @@ def _read_hyper(r: _Reader) -> HyperParams:
     )
 
 
-def save_model(path, model, vocab, hyper: HyperParams) -> None:
+def save_model(path, model: EmbeddingModel, vocab: VocabularyMaps, hyper: HyperParams) -> None:
     """Serialize a trained model, its vocabulary, and its hyperparameters.
 
-    Layout: a 6-byte magic, little-endian uint64 dimensions, row-major
-    float64 factor payloads, length-prefixed UTF-8 name tables, then the
-    hyperparameter block. The round-trip is bitwise lossless.
+    A model with exactly one relational and one descriptive context is
+    written as ``PHCLE1``: the magic, little-endian uint64 dimensions, the
+    row-major float64 ``W``, ``C`` and ``U`` payloads, then the label,
+    context and attribute name tables. Any other model is written as
+    ``PHCLG1``: ``W`` and the label names, then every context factor and
+    every attribute factor, each with its width and names. Both end with
+    the hyperparameter block. The round-trip is bitwise lossless.
     """
+    model.check_shapes(vocab)
     w = _Writer()
-    if isinstance(model, EmbeddingModel):
-        if not isinstance(vocab, VocabularyMaps):
-            raise ValueError("single-context models require VocabularyMaps")
-        model.check_shapes(vocab)
+    if len(model.Cs) == len(model.Us) == 1:
         w.raw(_MODEL_MAGIC)
         w.u64(model.dim)
         w.u64(len(vocab.labels))
@@ -567,11 +574,7 @@ def save_model(path, model, vocab, hyper: HyperParams) -> None:
         w.names(vocab.labels)
         w.names(vocab.contexts)
         w.names(vocab.attributes)
-    elif isinstance(model, GeneralizedEmbeddingModel):
-        if not isinstance(vocab, GeneralizedVocabulary):
-            raise ValueError("generalized models require GeneralizedVocabulary")
-        if len(vocab.context_lists) != len(model.Cs) or len(vocab.attribute_lists) != len(model.Us):
-            raise ValueError("vocabulary context counts do not match model factors")
+    else:
         w.raw(_MODEL_MAGIC_GENERAL)
         w.u64(model.dim)
         w.u64(len(vocab.labels))
@@ -579,27 +582,18 @@ def save_model(path, model, vocab, hyper: HyperParams) -> None:
         w.u64(len(model.Us))
         w.matrix(model.W)
         w.names(vocab.labels)
-        for C, names in zip(model.Cs, vocab.context_lists):
-            if C.shape[1] != len(names):
-                raise ValueError("context name list does not match factor width")
-            w.u64(C.shape[1])
-            w.matrix(C)
+        for arr, names in zip((*model.Cs, *model.Us), (*vocab.context_lists, *vocab.attribute_lists)):
+            w.u64(arr.shape[1])
+            w.matrix(arr)
             w.names(names)
-        for U, names in zip(model.Us, vocab.attribute_lists):
-            if U.shape[1] != len(names):
-                raise ValueError("attribute name list does not match factor width")
-            w.u64(U.shape[1])
-            w.matrix(U)
-            w.names(names)
-    else:
-        raise ValueError(f"cannot serialize {type(model).__name__}")
     _write_hyper(w, hyper)
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 
 
 def load_model(path):
-    """Read a model file back. Returns ``(model, vocab, hyper)``.
+    """Read a model file of either format back. Returns ``(model, vocab,
+    hyper)``.
 
     Raises UnsupportedVersionError for a known family with an unknown
     version digit, ParseError for anything else malformed. A truncated
@@ -625,13 +619,10 @@ def load_model(path):
         labels = r.names()
         contexts = r.names()
         attributes = r.names()
-        hyper = _read_hyper(r)
-        r.expect_end()
         if len(labels) != n_labels or len(contexts) != n_contexts or len(attributes) != n_attrs:
             raise ParseError("name table sizes disagree with header", path=path)
-        vocab = VocabularyMaps(labels=labels, contexts=contexts, attributes=attributes)
-        return EmbeddingModel(W=W, C=C, U=U, dim=dim), vocab, hyper
-    if magic == _MODEL_MAGIC_GENERAL:
+        Cs, Us, context_lists, attribute_lists = [C], [U], [contexts], [attributes]
+    elif magic == _MODEL_MAGIC_GENERAL:
         dim = r.u64()
         n_labels = r.u64()
         n_rel = r.u64()
@@ -640,29 +631,18 @@ def load_model(path):
         labels = r.names()
         if len(labels) != n_labels:
             raise ParseError("label table size disagrees with header", path=path)
-        Cs, context_lists = [], []
-        for _ in range(n_rel):
-            cols = r.u64()
-            Cs.append(r.matrix(dim, cols))
-            names = r.names()
-            if len(names) != cols:
-                raise ParseError("context table size disagrees with factor width", path=path)
-            context_lists.append(names)
-        Us, attribute_lists = [], []
-        for _ in range(n_desc):
-            cols = r.u64()
-            Us.append(r.matrix(dim, cols))
-            names = r.names()
-            if len(names) != cols:
-                raise ParseError("attribute table size disagrees with factor width", path=path)
-            attribute_lists.append(names)
-        hyper = _read_hyper(r)
-        r.expect_end()
-        model = GeneralizedEmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
-        vocab = GeneralizedVocabulary(
-            labels=labels,
-            context_lists=tuple(context_lists),
-            attribute_lists=tuple(attribute_lists),
-        )
-        return model, vocab, hyper
-    raise ParseError(f"not a model file (magic {magic!r})", path=path)
+        Cs, Us, context_lists, attribute_lists = [], [], [], []
+        blocks = ((n_rel, Cs, context_lists, "context"), (n_desc, Us, attribute_lists, "attribute"))
+        for count, mats, lists, kind in blocks:
+            for _ in range(count):
+                cols = r.u64()
+                mats.append(r.matrix(dim, cols))
+                lists.append(r.names())
+                if len(lists[-1]) != cols:
+                    raise ParseError(f"{kind} table size disagrees with factor width", path=path)
+    else:
+        raise ParseError(f"not a model file (magic {magic!r})", path=path)
+    hyper = _read_hyper(r)
+    r.expect_end()
+    model = EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
+    return model, VocabularyMaps(labels, context_lists, attribute_lists), hyper

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import AttributeContext, CooccurrenceMatrix, NegativeBoundMatrix, VocabularyMaps
+from .datamodel import AttributeContext, CooccurrenceMatrix, VocabularyMaps
 from .errors import ParseError
 
 
@@ -22,7 +23,7 @@ class RelationRecord:
     def __post_init__(self):
         if not self.label or not self.context:
             raise ValueError("relation record needs non-empty label and context names")
-        if not np.isfinite(self.weight) or self.weight <= 0:
+        if not math.isfinite(self.weight) or self.weight <= 0:
             raise ValueError(
                 f"relation weight must be a positive finite number, got {self.weight!r} "
                 f"for {self.label!r} -> {self.context!r}"
@@ -208,7 +209,8 @@ def negative_bound_values(D: np.ndarray, negative_samples: int) -> np.ndarray:
     return negative_samples * np.outer(context_mass, label_mass) / total + D
 
 
-def compute_negative_bound(D: CooccurrenceMatrix, negative_samples: int) -> NegativeBoundMatrix:
+def compute_negative_bound(D: CooccurrenceMatrix, negative_samples: int) -> CooccurrenceMatrix:
     """Wrap :func:`negative_bound_values` for the typed matrices. The
-    result dominates the counts entrywise."""
-    return NegativeBoundMatrix(values=negative_bound_values(D.values, negative_samples))
+    result dominates the counts entrywise; it has their orientation and
+    their finite, >= 0 checks, so it is a :class:`CooccurrenceMatrix` too."""
+    return CooccurrenceMatrix(values=negative_bound_values(D.values, negative_samples))

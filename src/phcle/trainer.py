@@ -18,12 +18,10 @@ from .datamodel import (
     AttributeContext,
     CooccurrenceMatrix,
     EmbeddingModel,
-    GeneralizedEmbeddingModel,
     HyperParams,
-    NegativeBoundMatrix,
     VocabularyMaps,
+    _draw_factors,
     format_float,
-    parse_init_scheme,
 )
 from .descriptive import descriptive_objective, fista_solve_U, grad_W_descriptive
 from .errors import DivergenceError
@@ -83,22 +81,19 @@ class TrainingHistory:
 
 
 def _values(x):
-    if isinstance(x, (CooccurrenceMatrix, NegativeBoundMatrix)):
+    if isinstance(x, CooccurrenceMatrix):
         return np.asarray(x.values, dtype=np.float64)
     return np.asarray(x, dtype=np.float64)
 
 
 def full_objective(D, Q, A, I, model: EmbeddingModel, hyper: HyperParams) -> float:
-    """Relational loss + descriptive loss + l1/l2 penalties, one scalar."""
-    D, Q = _values(D), _values(Q)
+    """Relational loss + descriptive loss + l1/l2 penalties of a model with
+    one context of each kind, one scalar."""
     A, I = np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64)
-    W, C, U = model.W, model.C, model.U
-    return (
-        emf_objective(D, Q, C, W)
-        + descriptive_objective(A, I, W, U, hyper.lambda1)
-        + hyper.lambda2 * float(np.sum(np.abs(U)))
-        + 0.5 * hyper.lambda3 * (float(np.sum(W * W)) + float(np.sum(U * U)))
+    terms = _objective_terms(
+        [_values(D)], [_values(Q)], (1.0,), [A], [I], (hyper.lambda1,), model.W, [model.C], [model.U], hyper
     )
+    return sum(terms)
 
 
 def _objective_terms(Ds, Qs, rel_weights, As, Is, desc_weights, W, Cs, Us, hyper):
@@ -139,18 +134,9 @@ def _train_engine(Ds, rel_weights, As, Is, desc_weights, hyper: HyperParams):
 
     Qs = [negative_bound_values(D, hyper.negative_samples) for D in Ds]
 
-    kind, scale = parse_init_scheme(hyper.init_scheme)
-    rng = np.random.default_rng(hyper.seed)
-
-    def draw(shape):
-        if kind == "ones":
-            return np.ones(shape)
-        return rng.uniform(-scale, scale, size=shape)
-
-    dim = hyper.dim
-    W = draw((dim, n_labels))
-    Cs = [draw((dim, D.shape[0])) for D in Ds]
-    Us = [draw((dim, A.shape[1])) for A in As]
+    W, Cs, Us = _draw_factors(
+        hyper.init_scheme, hyper.seed, hyper.dim, n_labels, [D.shape[0] for D in Ds], [A.shape[1] for A in As]
+    )
 
     records = []
     terms = _objective_terms(Ds, Qs, rel_weights, As, Is, desc_weights, W, Cs, Us, hyper)
@@ -198,7 +184,8 @@ def _train_engine(Ds, rel_weights, As, Is, desc_weights, hyper: HyperParams):
                 f"objective diverged at outer iteration {it} "
                 f"({objective!r} vs initial {records[0].objective!r}); try a smaller step_size",
             )
-    return W, Cs, Us, TrainingHistory(records=tuple(records))
+    model = EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=hyper.dim)
+    return model, TrainingHistory(records=tuple(records))
 
 
 def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
@@ -219,11 +206,7 @@ def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
             f"attribute shape {A_arr.shape} does not match vocabulary "
             f"(labels={len(vocab.labels)}, attributes={len(vocab.attributes)})"
         )
-    W, Cs, Us, history = _train_engine(
-        [D_arr], (1.0,), [A_arr], [I_arr], (hyper.lambda1,), hyper
-    )
-    model = EmbeddingModel(W=W, C=Cs[0], U=Us[0], dim=hyper.dim)
-    return model, history
+    return _train_engine([D_arr], (1.0,), [A_arr], [I_arr], (hyper.lambda1,), hyper)
 
 
 def _unpack_descriptive(item):
@@ -246,7 +229,7 @@ def train_generalized(Ds, As_with_masks, hyper: HyperParams):
     gradient (the weight only rescales that block's objective), while the
     shared factor sums the weighted contributions.
 
-    Returns ``(GeneralizedEmbeddingModel, TrainingHistory)``.
+    Returns ``(EmbeddingModel, TrainingHistory)``.
     """
     Ds = [_values(D) for D in Ds]
     pairs = [_unpack_descriptive(item) for item in As_with_masks]
@@ -260,6 +243,4 @@ def train_generalized(Ds, As_with_masks, hyper: HyperParams):
         raise ValueError(f"beta has {len(hyper.beta)} weights for {len(pairs)} descriptive contexts")
     As = [A for A, _ in pairs]
     Is = [I for _, I in pairs]
-    W, Cs, Us, history = _train_engine(Ds, hyper.alpha, As, Is, hyper.beta, hyper)
-    model = GeneralizedEmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=hyper.dim)
-    return model, history
+    return _train_engine(Ds, hyper.alpha, As, Is, hyper.beta, hyper)

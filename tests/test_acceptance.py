@@ -117,8 +117,8 @@ def planted():
     I[masked_rows] = 0.0
     vocab = VocabularyMaps(
         labels=tuple(f"l{i:02d}" for i in range(labels)),
-        contexts=tuple(f"c{i:02d}" for i in range(contexts)),
-        attributes=tuple(f"a{i}" for i in range(attrs)),
+        context_lists=(tuple(f"c{i:02d}" for i in range(contexts)),),
+        attribute_lists=(tuple(f"a{i}" for i in range(attrs)),),
     )
     return {
         "W_star": W_star,
@@ -376,9 +376,9 @@ def test_criterion_09_analysis_oracles():
         U = rng.standard_normal((3, 4))
         labels = tuple(f"w{i}" for i in range(n_labels))
         vocab = VocabularyMaps(
-            labels=labels, contexts=("ctx",), attributes=("p", "q", "r", "s")
+            labels=labels, context_lists=(("ctx",),), attribute_lists=(("p", "q", "r", "s"),)
         )
-        model = EmbeddingModel(W=W, C=np.zeros((3, 1)), U=U, dim=3)
+        model = EmbeddingModel(W=W, Cs=(np.zeros((3, 1)),), Us=(U,), dim=3)
 
         # retrieval against a from-scratch ranking
         qi = int(rng.integers(n_labels))

@@ -143,7 +143,7 @@ class TestConfig:
 
 class TestCoocRoundTrip:
     def test_write_read_identity(self, tmp_path):
-        vocab = VocabularyMaps(labels=("a", "b"), contexts=("x", "y", "z"))
+        vocab = VocabularyMaps(labels=("a", "b"), context_lists=(("x", "y", "z"),))
         D = np.array([[1.0, 0.0], [0.25, 3.0], [0.0, 0.0]])
         path = tmp_path / "c.tsv"
         write_cooccurrence_tsv(path, vocab, D)
@@ -160,7 +160,7 @@ class TestCoocRoundTrip:
         D[[2, 5], :] = 0.0
         D[:, [0, 4]] = 0.0
         vocab = VocabularyMaps(
-            labels=tuple(f"l{w}" for w in range(7)), contexts=tuple(f"c{c}" for c in range(9))
+            labels=tuple(f"l{w}" for w in range(7)), context_lists=(tuple(f"c{c}" for c in range(9)),)
         )
         expected = []
         for c, context in enumerate(vocab.contexts):
@@ -172,7 +172,7 @@ class TestCoocRoundTrip:
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
     def test_writer_on_all_zero_counts_writes_empty_file(self, tmp_path):
-        vocab = VocabularyMaps(labels=("a",), contexts=("x", "y"))
+        vocab = VocabularyMaps(labels=("a",), context_lists=(("x", "y"),))
         path = tmp_path / "c.tsv"
         write_cooccurrence_tsv(path, vocab, np.zeros((2, 1)))
         assert path.read_bytes() == b""
@@ -182,6 +182,27 @@ class TestCoocRoundTrip:
         path.write_text("x\ta\t1\nx\ta\t2\n")
         _, D = read_cooccurrence_tsv(path)
         assert D[0, 0] == 3.0
+
+    def test_duplicate_lines_sum_in_file_order(self, tmp_path):
+        # Float addition is not associative: 1e16 + 1 + 1 is 1e16 in file
+        # order but 1e16 + 2 with the ones added first; 0.1 + 0.2 + 0.3 and
+        # 0.3 + 0.2 + 0.1 differ in the last bit.
+        lines = [
+            ("y", "b", "1e16"), ("x", "b", "0.1"), ("y", "b", "1"), ("x", "b", "0.2"),
+            ("y", "a", "0.5"), ("y", "b", "1"), ("x", "b", "0.3"), ("x", "c", "0"),
+            ("z", "b", "0.3"), ("z", "b", "0.2"), ("z", "b", "0.1"),
+        ]
+        path = tmp_path / "c.tsv"
+        path.write_text("".join(f"{c}\t{w}\t{v}\n" for c, w, v in lines))
+        vocab, D = read_cooccurrence_tsv(path)
+        # the cell-by-cell accumulation the reader must reproduce
+        contexts, labels = sorted({c for c, _, _ in lines}), sorted({w for _, w, _ in lines})
+        expected = np.zeros((len(contexts), len(labels)))
+        for c, w, v in lines:
+            expected[contexts.index(c), labels.index(w)] += float(v)
+        assert vocab.contexts == tuple(contexts) and vocab.labels == tuple(labels)
+        assert D.tobytes() == expected.tobytes()
+        assert D[1, 1] == 1e16 and D[0, 1] != D[2, 1]
 
     @pytest.mark.parametrize(
         "line", ["x\ta", "x\ta\tmany", "x\ta\t-1", "x\ta\tinf"]
@@ -334,6 +355,27 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["retrieve", "--model", str(model_path), "--query", "cat", "--tsv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+class TestSharedAttributeNames:
+    def test_only_describe_needs_distinct_attribute_names(self, workspace, capsys):
+        cooc = workspace / "cooc.tsv"
+        main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
+        (workspace / "attrs2.tsv").write_text("label\tlegs\ndog\t4\n")
+        (workspace / "config").write_text(FULL_CONFIG.replace("beta = 1", "beta = 0.5,0.5"))
+        (workspace / "labels.txt").write_text("cat\ncow\ndog\n")
+        (workspace / "vec.txt").write_text("1 0 0")
+        model_path = str(workspace / "gen.bin")
+        train_args = ["--attrs", str(workspace / "attrs.tsv"), "--attrs", str(workspace / "attrs2.tsv")]
+        assert main(
+            ["train", "--cooc", str(cooc), *train_args, "--config", str(workspace / "config"), "--out", model_path]
+        ) == 0
+        assert main(["retrieve", "--model", model_path, "--query", "cat"]) == 0
+        assert main(["correlate", "--model", model_path, "--labels", str(workspace / "labels.txt")]) == 0
+        assert main(["export", "--model", model_path, "--out", str(workspace / "emb.txt")]) == 0
+        capsys.readouterr()
+        assert main(["describe", "--model", model_path, "--vector", str(workspace / "vec.txt")]) == 2
+        assert "collide" in capsys.readouterr().err
 
 
 class TestGridSearch:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ from phcle.errors import ParseError, UnsupportedVersionError
 def small_vocab():
     return VocabularyMaps(
         labels=("cat", "dog", "horse"),
-        contexts=("farm", "home"),
-        attributes=("furry", "big"),
+        context_lists=(("farm", "home"),),
+        attribute_lists=(("furry", "big"),),
     )
 
 
@@ -44,11 +46,11 @@ class TestVocabularyMaps:
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            VocabularyMaps(labels=("a", "a"), contexts=("x",))
+            VocabularyMaps(labels=("a", "a"), context_lists=(("x",),))
 
     def test_tab_in_name_rejected(self):
         with pytest.raises(ValueError):
-            VocabularyMaps(labels=("a\tb",), contexts=("x",))
+            VocabularyMaps(labels=("a\tb",), context_lists=(("x",),))
 
 
 class TestMatrixTypes:
@@ -91,13 +93,13 @@ class TestModelShapes:
     def test_validator_rejects_wrong_widths(self):
         vocab = small_vocab()
         model = init_model(vocab, dim=4, seed=3)
-        other = VocabularyMaps(labels=("a",), contexts=vocab.contexts, attributes=vocab.attributes)
+        other = VocabularyMaps(labels=("a",), context_lists=(vocab.contexts,), attribute_lists=(vocab.attributes,))
         with pytest.raises(ValueError, match="factor W"):
             model.check_shapes(other)
 
     def test_dim_row_agreement(self):
         with pytest.raises(ValueError, match="rows"):
-            EmbeddingModel(W=np.ones((2, 3)), C=np.ones((3, 2)), U=np.ones((2, 1)), dim=2)
+            EmbeddingModel(W=np.ones((2, 3)), Cs=(np.ones((3, 2)),), Us=(np.ones((2, 1)),), dim=2)
 
 
 class TestInitModel:
@@ -129,7 +131,7 @@ class TestInitModel:
 
     def test_empty_vocabulary(self):
         with pytest.raises(ValueError, match="at least one label"):
-            init_model(VocabularyMaps(labels=(), contexts=("x",)), dim=2)
+            init_model(VocabularyMaps(labels=(), context_lists=(("x",),)), dim=2)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError, match="init scheme"):
@@ -173,7 +175,7 @@ class TestHyperParams:
 class TestTextEmbeddings:
     def test_zero_vector_file_layout(self, tmp_path):
         # one label, two dims, all-zero vector
-        vocab = VocabularyMaps(labels=("cat",), contexts=("x",), attributes=())
+        vocab = VocabularyMaps(labels=("cat",), context_lists=(("x",),), attribute_lists=((),))
         model = init_model(vocab, dim=2, scheme="uniform_random(0)")
         path = tmp_path / "emb.txt"
         save_embeddings(model, vocab.labels, path)
@@ -181,11 +183,11 @@ class TestTextEmbeddings:
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        vocab = VocabularyMaps(labels=("cat", "dog", "horse"), contexts=("x",))
+        vocab = VocabularyMaps(labels=("cat", "dog", "horse"), context_lists=(("x",),))
         model = EmbeddingModel(
             W=rng.standard_normal((4, 3)) * 1e3,
-            C=rng.standard_normal((4, 1)),
-            U=np.zeros((4, 0)),
+            Cs=(rng.standard_normal((4, 1)),),
+            Us=(np.zeros((4, 0)),),
             dim=4,
         )
         path = tmp_path / "emb.txt"
@@ -196,7 +198,7 @@ class TestTextEmbeddings:
             assert np.array_equal(table[name], model.W[:, j])
 
     def test_whitespace_name_rejected(self, tmp_path):
-        model = init_model(VocabularyMaps(labels=("a",), contexts=("x",)), dim=1)
+        model = init_model(VocabularyMaps(labels=("a",), context_lists=(("x",),)), dim=1)
         with pytest.raises(ValueError, match="whitespace"):
             save_embeddings(model, ("a b",), tmp_path / "emb.txt")
 
@@ -243,8 +245,8 @@ class TestBinaryModel:
         rng = np.random.default_rng(seed)
         model = EmbeddingModel(
             W=rng.standard_normal((5, 3)),
-            C=rng.standard_normal((5, 2)),
-            U=rng.standard_normal((5, 2)),
+            Cs=(rng.standard_normal((5, 2)),),
+            Us=(rng.standard_normal((5, 2)),),
             dim=5,
         )
         hyper = HyperParams(lambda1=0.3, lambda2=0.7, seed=42, dim=5)
@@ -330,3 +332,147 @@ class TestBinaryModel:
             assert np.array_equal(got, expected)
         assert loaded_vocab == vocab
         assert loaded_hyper == hyper
+
+
+class TestMultiContextVocabulary:
+    @pytest.mark.parametrize("field", ["context_lists", "attribute_lists"])
+    @pytest.mark.parametrize(
+        "bad_list,fragment",
+        [(("p", ""), "empty"), (("p", "q\tr"), "tab"), (("p", "p"), "duplicate")],
+    )
+    def test_second_list_is_validated(self, field, bad_list, fragment):
+        lists = {"context_lists": (("x",), ("y",)), "attribute_lists": (("fur",), ("size",))}
+        lists[field] = (lists[field][0], bad_list)
+        with pytest.raises(ValueError, match=fragment):
+            VocabularyMaps(labels=("a", "b"), **lists)
+
+    def test_single_context_views(self):
+        vocab = VocabularyMaps(labels=("a",), context_lists=(("x", "y"),), attribute_lists=(("p",), ("q", "r")))
+        assert vocab.contexts == ("x", "y")
+        assert vocab.attributes == ("p", "q", "r")
+        assert vocab.attribute_index("q") == 1
+
+    def test_several_context_lists_have_no_flat_view(self):
+        vocab = VocabularyMaps(labels=("a",), context_lists=(("x",), ("y",)))
+        with pytest.raises(ValueError, match="2 context lists"):
+            vocab.contexts
+
+    def test_colliding_attribute_names_only_fail_the_flat_view(self):
+        vocab = VocabularyMaps(labels=("a",), context_lists=(("x",),), attribute_lists=(("legs",), ("legs",)))
+        assert vocab.attribute_lists == (("legs",), ("legs",))
+        with pytest.raises(ValueError, match="collide"):
+            vocab.attributes
+
+
+class TestMultiContextModel:
+    def make(self):
+        return EmbeddingModel(
+            W=np.ones((2, 3)),
+            Cs=(np.ones((2, 1)), np.zeros((2, 4))),
+            Us=(np.full((2, 1), 2.0), np.full((2, 2), 3.0)),
+            dim=2,
+        )
+
+    def test_U_is_the_factors_side_by_side(self):
+        assert np.array_equal(self.make().U, [[2.0, 3.0, 3.0], [2.0, 3.0, 3.0]])
+
+    def test_several_context_factors_have_no_single_view(self):
+        with pytest.raises(ValueError, match="2 context factors"):
+            self.make().C
+
+    def test_shape_check_counts_contexts(self):
+        vocab = VocabularyMaps(labels=("a", "b", "c"), context_lists=(("x",),), attribute_lists=(("p",), ("q", "r")))
+        with pytest.raises(ValueError, match="2 relational"):
+            self.make().check_shapes(vocab)
+
+    def test_shape_check_names_the_block(self):
+        vocab = VocabularyMaps(
+            labels=("a", "b", "c"), context_lists=(("x",), ("y",)), attribute_lists=(("p",), ("q", "r"))
+        )
+        with pytest.raises(ValueError, match=r"factor C\[1\] has 4 columns"):
+            self.make().check_shapes(vocab)
+
+    @pytest.mark.parametrize("n_rel,n_desc,magic", [(1, 1, b"PHCLE1"), (2, 1, b"PHCLG1"), (1, 2, b"PHCLG1")])
+    def test_format_follows_shape(self, tmp_path, n_rel, n_desc, magic):
+        vocab = VocabularyMaps(
+            labels=("a",),
+            context_lists=tuple((f"c{i}",) for i in range(n_rel)),
+            attribute_lists=tuple((f"u{j}",) for j in range(n_desc)),
+        )
+        model = init_model(vocab, dim=2, seed=1)
+        path = tmp_path / "m.bin"
+        save_model(path, model, vocab, HyperParams(dim=2))
+        assert path.read_bytes()[:6] == magic
+        loaded, loaded_vocab, _ = load_model(path)
+        assert loaded_vocab == vocab
+        assert all(np.array_equal(a, b) for a, b in zip((*loaded.Cs, *loaded.Us), (*model.Cs, *model.Us)))
+
+
+def fixed_factor(rows, cols, offset):
+    return (np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) + offset) / 7.0
+
+
+class TestGoldenModelFiles:
+    """Digests of files written by the serializer before the single- and
+    multi-context model types were merged; the bytes must not change."""
+
+    # A one-relational, one-descriptive model written as PHCLG1, which the
+    # earlier generalized writer produced for that shape.
+    OLD_SINGLETON_PHCLG1 = bytes.fromhex(
+        "5048434c47310200000000000000020000000000000001000000000000000100000000000000000000000000"
+        "0000922449922449c23f922449922449d23fdbb66ddbb66ddb3f020000000000000001000000000000006101"
+        "00000000000000620100000000000000922449922449c23f922449922449d23f010000000000000001000000"
+        "00000000780100000000000000b76ddbb66ddbe6bf922449922449e2bf010000000000000003000000000000"
+        "00667572000000000000f03f7b14ae47e17a843f7b14ae47e17a843ff168e388b5f8e43e2d431cebe2361a3f"
+        "0a00000000000000320000000000000005000000000000000500000000000000320000000000000000000000"
+        "0000000002000000000000001300000000000000756e69666f726d5f72616e646f6d28302e31290100000000"
+        "000000000000000000f03f0100000000000000000000000000f03f"
+    )
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_single_context_model_bytes(self, tmp_path):
+        model = EmbeddingModel(
+            W=fixed_factor(3, 4, 0), Cs=(fixed_factor(3, 2, 1),), Us=(fixed_factor(3, 2, -5),), dim=3
+        )
+        vocab = VocabularyMaps(
+            labels=("a", "b", "c", "d"), context_lists=(("x", "y"),), attribute_lists=(("fur", "big"),)
+        )
+        path = tmp_path / "single.bin"
+        save_model(path, model, vocab, HyperParams(lambda1=0.3, lambda2=0.7, seed=42, dim=3))
+        assert path.read_bytes()[:6] == b"PHCLE1"
+        assert self.digest(path) == "115352866ebdbad64da6d48150ac8005567a89b47c3efeee6c156ba1ce2a87f8"
+
+    def test_multi_context_model_bytes(self, tmp_path):
+        model = GeneralizedEmbeddingModel(
+            W=fixed_factor(3, 4, 0),
+            Cs=(fixed_factor(3, 2, 1), fixed_factor(3, 3, 2)),
+            Us=(fixed_factor(3, 1, -5), fixed_factor(3, 2, 3)),
+            dim=3,
+        )
+        vocab = GeneralizedVocabulary(
+            labels=("a", "b", "c", "d"),
+            context_lists=(("x", "y"), ("p", "q", "r")),
+            attribute_lists=(("fur",), ("big", "small")),
+        )
+        path = tmp_path / "multi.bin"
+        save_model(path, model, vocab, HyperParams(alpha=(0.25, 0.75), beta=(0.5, 0.5), seed=3, dim=3))
+        assert path.read_bytes()[:6] == b"PHCLG1"
+        assert self.digest(path) == "79f72a0523e057561eff97dca0b2e7c4bc944b6c5857c743a9c2e7a880906d52"
+
+    def test_old_singleton_phclg1_loads_and_resaves_as_phcle1(self, tmp_path):
+        old = tmp_path / "old.bin"
+        old.write_bytes(self.OLD_SINGLETON_PHCLG1)
+        model, vocab, hyper = load_model(old)
+        assert np.array_equal(model.W, fixed_factor(2, 2, 0))
+        assert len(model.Cs) == 1 and np.array_equal(model.C, fixed_factor(2, 1, 1))
+        assert len(model.Us) == 1 and np.array_equal(model.U, fixed_factor(2, 1, -5))
+        assert vocab == VocabularyMaps(labels=("a", "b"), context_lists=(("x",),), attribute_lists=(("fur",),))
+        assert hyper == HyperParams(dim=2)
+        resaved = tmp_path / "new.bin"
+        save_model(resaved, model, vocab, hyper)
+        assert resaved.read_bytes()[:6] == b"PHCLE1"
+        # the bytes the single-context writer produced for these values
+        assert self.digest(resaved) == "dab9d338fa7183349e6772acb7a76942a055c95cbd70100036f767799ae9f5ed"

@@ -19,11 +19,11 @@ def make_model(W, U=None, contexts=1):
     dim = W.shape[0]
     if U is None:
         U = np.zeros((dim, 0))
-    return EmbeddingModel(W=W, C=np.zeros((dim, contexts)), U=np.asarray(U, dtype=np.float64), dim=dim)
+    return EmbeddingModel(W=W, Cs=(np.zeros((dim, contexts)),), Us=(np.asarray(U, dtype=np.float64),), dim=dim)
 
 
 def label_vocab(labels, attributes=()):
-    return VocabularyMaps(labels=tuple(labels), contexts=("ctx",), attributes=tuple(attributes))
+    return VocabularyMaps(labels=tuple(labels), context_lists=(("ctx",),), attribute_lists=(tuple(attributes),))
 
 
 class TestCosine:

@@ -42,7 +42,7 @@ class TestRelationRecord:
 
 class TestBuildCooccurrence:
     def test_accumulates_repeats(self):
-        vocab = VocabularyMaps(labels=("cat", "dog"), contexts=("farm", "home"))
+        vocab = VocabularyMaps(labels=("cat", "dog"), context_lists=(("farm", "home"),))
         records = [
             RelationRecord("cat", "farm", 1.0),
             RelationRecord("cat", "farm", 2.0),
@@ -52,7 +52,7 @@ class TestBuildCooccurrence:
         assert np.array_equal(D.values, [[3.0, 0.0], [0.0, 0.5]])
 
     def test_order_invariant(self):
-        vocab = VocabularyMaps(labels=("a", "b", "c"), contexts=("x", "y"))
+        vocab = VocabularyMaps(labels=("a", "b", "c"), context_lists=(("x", "y"),))
         rng = np.random.default_rng(4)
         records = [
             RelationRecord(vocab.labels[rng.integers(3)], vocab.contexts[rng.integers(2)], float(w))
@@ -63,12 +63,12 @@ class TestBuildCooccurrence:
         np.testing.assert_allclose(forward.values, backward.values, rtol=0, atol=1e-12)
 
     def test_unknown_label_names_record(self):
-        vocab = VocabularyMaps(labels=("cat",), contexts=("farm",))
+        vocab = VocabularyMaps(labels=("cat",), context_lists=(("farm",),))
         with pytest.raises(ValueError, match="label 'dog' unknown"):
             build_cooccurrence([RelationRecord("dog", "farm")], vocab)
 
     def test_unknown_context_names_record(self):
-        vocab = VocabularyMaps(labels=("cat",), contexts=("farm",))
+        vocab = VocabularyMaps(labels=("cat",), context_lists=(("farm",),))
         with pytest.raises(ValueError, match="context 'sea' unknown"):
             build_cooccurrence([RelationRecord("cat", "sea")], vocab)
 
@@ -127,8 +127,8 @@ class TestAttributeTable:
     def vocab(self):
         return VocabularyMaps(
             labels=("cat", "dog", "horse"),
-            contexts=("x",),
-            attributes=("furry", "big"),
+            context_lists=(("x",),),
+            attribute_lists=(("furry", "big"),),
         )
 
     def test_basic_parse_with_na(self, tmp_path):

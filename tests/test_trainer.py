@@ -16,8 +16,8 @@ def small_instance(seed=0, labels=6, contexts=5, attrs=4):
     I = (rng.uniform(size=A.shape) > 0.3).astype(float)
     vocab = VocabularyMaps(
         labels=tuple(f"l{i}" for i in range(labels)),
-        contexts=tuple(f"c{i}" for i in range(contexts)),
-        attributes=tuple(f"a{i}" for i in range(attrs)),
+        context_lists=(tuple(f"c{i}" for i in range(contexts)),),
+        attribute_lists=(tuple(f"a{i}" for i in range(attrs)),),
     )
     return D, A, I, vocab
 
@@ -67,8 +67,8 @@ class TestFullObjective:
 
         model = EmbeddingModel(
             W=rng.standard_normal((3, 6)),
-            C=rng.standard_normal((3, 5)),
-            U=rng.standard_normal((3, 4)),
+            Cs=(rng.standard_normal((3, 5)),),
+            Us=(rng.standard_normal((3, 4)),),
             dim=3,
         )
         Q = negative_bound_values(D, hyper.negative_samples)
