@@ -147,14 +147,6 @@ class CooccurrenceMatrix:
             raise ValueError("cooccurrence matrix contains negative entries")
         object.__setattr__(self, "values", arr)
 
-    def check_shapes(self, vocab: VocabularyMaps) -> None:
-        expect = (len(vocab.contexts), len(vocab.labels))
-        if self.values.shape != expect:
-            raise ValueError(
-                f"cooccurrence shape {self.values.shape} does not match "
-                f"vocabulary (contexts={expect[0]}, labels={expect[1]})"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class AttributeContext:
@@ -180,14 +172,6 @@ class AttributeContext:
             raise ValueError("assoc contains non-finite observed entries")
         object.__setattr__(self, "assoc", assoc)
         object.__setattr__(self, "mask", mask)
-
-    def check_shapes(self, vocab: VocabularyMaps) -> None:
-        expect = (len(vocab.labels), len(vocab.attributes))
-        if self.assoc.shape != expect:
-            raise ValueError(
-                f"attribute table shape {self.assoc.shape} does not match "
-                f"vocabulary (labels={expect[0]}, attributes={expect[1]})"
-            )
 
 
 @dataclass(frozen=True, eq=False)

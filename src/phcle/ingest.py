@@ -151,6 +151,14 @@ def read_attribute_names(path) -> tuple[str, ...]:
     return names
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
     """Read a tab-separated attribute table into an association + mask pair.
 
@@ -184,14 +192,13 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
             if row in seen:
                 raise ParseError(f"duplicate row for label {cells[0]!r}", path=path, line=lineno)
             seen.add(row)
-            for j, cell in enumerate(cells[1:]):
-                if cell == "NA":
-                    continue
-                try:
-                    A[row, j] = float(cell)
-                except ValueError:
-                    raise ParseError(f"non-numeric cell {cell!r}", path=path, line=lineno) from None
-                mask[row, j] = 1.0
+            fields = cells[1:]
+            try:
+                A[row] = [0.0 if cell == "NA" else float(cell) for cell in fields]
+            except ValueError:
+                bad = next(cell for cell in fields if cell != "NA" and not _is_float(cell))
+                raise ParseError(f"non-numeric cell {bad!r}", path=path, line=lineno) from None
+            mask[row] = [cell != "NA" for cell in fields]
     return AttributeContext(assoc=A, mask=mask)
 
 

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phcle.datamodel import HyperParams
 from phcle.descriptive import (
@@ -242,3 +247,250 @@ class TestFista:
             with pytest.raises(DivergenceError) as err:
                 fista_solve_U([[0.0]], [[1.0]], [[2.0]], [[1e308]], h)
         assert err.value.iteration == 1
+
+
+# Oracles: the residual formula and the FISTA loop as they stood before the
+# solve reused one residual buffer, copied verbatim. The buffered code must
+# reproduce their bits.
+
+
+def ref_masked_residual(A, I, W, U):
+    A = np.asarray(A, dtype=np.float64)
+    I = np.asarray(I, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    return np.where(I != 0, A - W.T @ U, 0.0)
+
+
+def ref_descriptive_objective(A, I, W, U, weight):
+    R = ref_masked_residual(A, I, W, U)
+    return 0.5 * weight * float(np.sum(R * R))
+
+
+def ref_grad_W_descriptive(A, I, W, U, weight):
+    R = ref_masked_residual(A, I, W, U)
+    return -weight * (U @ R.T)
+
+
+def ref_grad_U_smooth(A, I, W, U, weight):
+    R = ref_masked_residual(A, I, W, U)
+    return -weight * (W @ R)
+
+
+def ref_prox_elastic_net(K, tau, lambda2, lambda3):
+    if tau <= 0:
+        raise ValueError("prox step weight tau must be positive")
+    if lambda2 < 0 or lambda3 < 0:
+        raise ValueError("penalty weights must be >= 0")
+    K = np.asarray(K, dtype=np.float64)
+    return np.sign(K) * np.maximum(tau * np.abs(K) - lambda2, 0.0) / (tau + lambda3)
+
+
+def ref_elastic_net_objective(A, I, W, U, weight, lambda2, lambda3):
+    U = np.asarray(U, dtype=np.float64)
+    return (
+        ref_descriptive_objective(A, I, W, U, weight)
+        + 0.5 * lambda3 * float(np.sum(U * U))
+        + lambda2 * float(np.sum(np.abs(U)))
+    )
+
+
+def ref_fista_solve_U(A, I, W, U_init, hyper):
+    A = np.asarray(A, dtype=np.float64)
+    I = np.asarray(I, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    U_prev = np.array(U_init, dtype=np.float64, copy=True)
+
+    weight, lambda2, lambda3 = hyper.lambda1, hyper.lambda2, hyper.lambda3
+    L = lipschitz_bound(W, weight)
+    Z = U_prev.copy()
+    t = 1.0
+    F_prev = ref_elastic_net_objective(A, I, W, U_prev, weight, lambda2, lambda3)
+    best_U, best_F = U_prev.copy(), F_prev
+    iterations = 0
+    for j in range(1, hyper.inner_max_iter + 1):
+        step = Z - ref_grad_U_smooth(A, I, W, Z, weight) / L
+        U_new = ref_prox_elastic_net(step, L, lambda2, lambda3)
+        if not np.isfinite(U_new).all():
+            raise DivergenceError(j, f"non-finite iterate at inner iteration {j}")
+        iterations = j
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        Z = U_new + ((t - 1.0) / t_next) * (U_new - U_prev)
+        t = t_next
+        F_new = ref_elastic_net_objective(A, I, W, U_new, weight, lambda2, lambda3)
+        if F_new < best_F:
+            best_U, best_F = U_new.copy(), F_new
+        rel_change = abs(F_prev - F_new) / max(abs(F_new), 1e-12)
+        U_prev, F_prev = U_new, F_new
+        if rel_change < hyper.tolerance:
+            break
+    return best_U, iterations, best_F
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def solve_outcome(solve, *args):
+    """``(U, iterations, F)``, or the divergence as ``(iteration, message)``."""
+    try:
+        return solve(*args)
+    except DivergenceError as err:
+        return err.iteration, str(err)
+
+
+def assert_same_outcome(got, want):
+    assert len(got) == len(want)
+    if len(want) == 2:
+        assert got == want
+        return
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1]
+    assert_same_bits(got[2], want[2])
+
+
+def oracle_instance(seed, labels=9, attrs=7, dim=3):
+    """A random problem whose unobserved cells hold NaN, +-inf and 1e308
+    placeholders, with label 0 and attribute 2 never observed."""
+    rng = np.random.default_rng(seed)
+    A = 3.0 * rng.standard_normal((labels, attrs))
+    I = (rng.uniform(size=A.shape) < 0.6).astype(float)
+    I[0, :] = 0.0
+    I[:, 2] = 0.0
+    hidden = np.flatnonzero(I == 0)
+    A.flat[hidden] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=hidden.size)
+    W = rng.standard_normal((dim, labels))
+    U = rng.standard_normal((dim, attrs))
+    return A, I, W, U
+
+
+def fista_hyper(**kw):
+    base = dict(lambda1=1.0, lambda2=0.05, lambda3=0.1, inner_max_iter=50, tolerance=1e-4)
+    base.update(kw)
+    return HyperParams(**base)
+
+
+class TestBufferedResidualOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_residual_and_its_consumers_match_where_formula(self, seed):
+        A, I, W, U = oracle_instance(seed)
+        assert_same_bits(masked_residual(A, I, W, U), ref_masked_residual(A, I, W, U))
+        assert_same_bits(descriptive_objective(A, I, W, U, 0.7), ref_descriptive_objective(A, I, W, U, 0.7))
+        assert_same_bits(grad_W_descriptive(A, I, W, U, 0.7), ref_grad_W_descriptive(A, I, W, U, 0.7))
+        assert_same_bits(grad_U_smooth(A, I, W, U, 0.7), ref_grad_U_smooth(A, I, W, U, 0.7))
+        assert_same_bits(
+            elastic_net_objective(A, I, W, U, 0.7, 0.05, 0.1),
+            ref_elastic_net_objective(A, I, W, U, 0.7, 0.05, 0.1),
+        )
+
+    def test_unobserved_cells_are_positive_zero(self):
+        # W^T U is negative in about half the hidden cells, and -x * 0 is -0.0
+        # before the subtraction from the zeroed assoc turns it into +0.0.
+        A, I, W, U = oracle_instance(7)
+        assert (W.T @ U)[I == 0].min() < 0
+        R = masked_residual(A, I, W, U)
+        assert np.all(R[I == 0] == 0.0) and not np.signbit(R[I == 0]).any()
+
+    def test_exact_zero_residual_keeps_its_sign(self):
+        A, I, W, U = oracle_instance(8)
+        observed = I != 0
+        A[observed] = (W.T @ U)[observed]
+        A[0, 0] = -0.0
+        U[:, 0] = 0.0
+        I[0, 0] = 1.0
+        assert_same_bits(masked_residual(A, I, W, U), ref_masked_residual(A, I, W, U))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_matches_reference_on_early_stop(self, seed):
+        A, I, W, U0 = oracle_instance(100 + seed)
+        h = fista_hyper(inner_max_iter=500)
+        want = ref_fista_solve_U(A, I, W, U0, h)
+        assert want[1] < h.inner_max_iter
+        assert_same_outcome(fista_solve_U(A, I, W, U0, h), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_matches_reference_on_budget_exhaustion(self, seed):
+        A, I, W, U0 = oracle_instance(200 + seed, labels=12, attrs=5, dim=4)
+        h = fista_hyper(inner_max_iter=15, tolerance=1e-30)
+        want = ref_fista_solve_U(A, I, W, U0, h)
+        assert want[1] == 15
+        assert_same_outcome(fista_solve_U(A, I, W, U0, h), want)
+
+    def test_solve_leaves_its_inputs_unchanged(self):
+        A, I, W, U0 = oracle_instance(300)
+        copies = [x.copy() for x in (A, I, W, U0)]
+        fista_solve_U(A, I, W, U0, fista_hyper())
+        for before, after in zip(copies, (A, I, W, U0)):
+            assert_same_bits(after, before)
+
+    @staticmethod
+    def overflow_instance():
+        # Label 0 is never observed and W^T U overflows to inf in its first
+        # cell; inf * 0 in the buffered residual would leave NaN there.
+        W = np.array([[1e76, 0.0, 0.0], [0.0, 1.0, -0.5]])
+        U = np.array([[1e240, 0.0], [0.3, -0.2]])
+        A = np.array([[np.nan, 7.0], [0.5, 1.0], [-1.0, 2.0]])
+        I = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        with np.errstate(over="ignore"):
+            assert np.isposinf(W.T @ U)[0, 0]
+        return A, I, W, U
+
+    def test_overflow_in_unobserved_cell_matches_where_formula(self):
+        A, I, W, U = self.overflow_instance()
+        with np.errstate(over="ignore"):
+            R = masked_residual(A, I, W, U)
+            assert_same_bits(R, ref_masked_residual(A, I, W, U))
+            assert np.isfinite(R).all()
+            assert_same_bits(descriptive_objective(A, I, W, U, 0.5), ref_descriptive_objective(A, I, W, U, 0.5))
+            assert_same_bits(grad_W_descriptive(A, I, W, U, 0.5), ref_grad_W_descriptive(A, I, W, U, 0.5))
+            assert_same_bits(grad_U_smooth(A, I, W, U, 0.5), ref_grad_U_smooth(A, I, W, U, 0.5))
+
+    @pytest.mark.parametrize(
+        "weight, diverges",
+        # L = weight * 1e152 (floored at 1e-12): with weight 1 the prox
+        # overflows at the first step; a tiny weight keeps L * |U| finite.
+        [(1e-200, False), (1.0, True)],
+    )
+    def test_overflow_in_unobserved_cell_solve_matches_reference(self, weight, diverges):
+        A, I, W, U0 = self.overflow_instance()
+        h = fista_hyper(lambda1=weight, inner_max_iter=6, tolerance=1e-12)
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            want = solve_outcome(ref_fista_solve_U, A, I, W, U0, h)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = solve_outcome(fista_solve_U, A, I, W, U0, h)
+        assert (len(want) == 2) == diverges
+        assert_same_outcome(got, want)
+        assert {str(w.message) for w in warned} == {str(w.message) for w in ref_warned}
+
+
+finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_property_residual_and_solve_match_reference(data):
+    labels, attrs, dim = (data.draw(st.integers(1, n)) for n in (8, 8, 4))
+    A = data.draw(hnp.arrays(np.float64, (labels, attrs), elements=finite_values))
+    observed = data.draw(hnp.arrays(np.bool_, (labels, attrs)))
+    placeholder = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -0.0]))
+    A = np.where(observed, A, placeholder)
+    I = observed.astype(np.float64)
+    W = data.draw(hnp.arrays(np.float64, (dim, labels), elements=st.floats(-10, 10)))
+    U0 = data.draw(hnp.arrays(np.float64, (dim, attrs), elements=st.floats(-10, 10)))
+    assert_same_bits(masked_residual(A, I, W, U0), ref_masked_residual(A, I, W, U0))
+    h = HyperParams(
+        lambda1=data.draw(st.floats(0.0, 4.0)),
+        lambda2=data.draw(st.floats(0.0, 1.0)),
+        lambda3=data.draw(st.floats(0.0, 1.0)),
+        inner_max_iter=data.draw(st.integers(1, 40)),
+        tolerance=data.draw(st.sampled_from([1e-2, 1e-6, 1e-30])),
+    )
+    with np.errstate(all="ignore"):
+        want = solve_outcome(ref_fista_solve_U, A, I, W, U0, h)
+        got = solve_outcome(fista_solve_U, A, I, W, U0, h)
+    assert_same_outcome(got, want)

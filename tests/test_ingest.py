@@ -169,6 +169,49 @@ class TestAttributeTable:
         path = self.write(tmp_path, "label\t" + "\t".join(names) + "\n")
         assert read_attribute_names(path) == names
 
+    def test_non_numeric_cell_reports_cell_and_line(self, tmp_path):
+        path = self.write(tmp_path, "label\tfurry\tbig\ncat\t1\tNA\ndog\tNA\tlarge\n")
+        with pytest.raises(ParseError, match="non-numeric cell 'large'") as err:
+            load_attribute_table(path, self.vocab())
+        assert err.value.line == 3
+
+    def test_rows_match_cell_by_cell_reference(self, tmp_path):
+        # The cell-by-cell loop the row-at-a-time parser replaced.
+        def reference(path, vocab):
+            names = read_attribute_names(path)
+            A = np.zeros((len(vocab.labels), len(names)))
+            mask = np.zeros_like(A)
+            with open(path, encoding="utf-8") as fh:
+                fh.readline()
+                for line in fh:
+                    cells = line.rstrip("\n").split("\t")
+                    row = vocab.label_index(cells[0])
+                    for j, cell in enumerate(cells[1:]):
+                        if cell == "NA":
+                            continue
+                        A[row, j] = float(cell)
+                        mask[row, j] = 1.0
+            return A, mask
+
+        rng = np.random.default_rng(5)
+        labels = tuple(f"L{i}" for i in range(30))
+        names = tuple(f"a{j}" for j in range(12))
+        vocab = VocabularyMaps(labels=labels, context_lists=(("x",),), attribute_lists=(names,))
+        lines = ["label\t" + "\t".join(names)]
+        for i in rng.permutation(len(labels))[:-3]:  # three labels have no row
+            cells = [
+                "NA" if rng.uniform() < 0.3 else repr(float(v))
+                for v in rng.standard_normal(len(names)) * 10.0 ** rng.integers(-300, 300, len(names))
+            ]
+            cells[0] = "-0.0" if i % 5 == 0 else cells[0]
+            lines.append(labels[i] + "\t" + "\t".join(cells))
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        ctx = load_attribute_table(path, vocab)
+        A, mask = reference(path, vocab)
+        assert ctx.assoc.tobytes() == A.tobytes()
+        assert ctx.mask.tobytes() == mask.tobytes()
+        assert (mask == 0).all(axis=1).sum() == 3
+
 
 class TestRelationFile:
     def test_parse_with_and_without_weight(self, tmp_path):
