@@ -35,11 +35,12 @@ from .evaluation import (
     retrieve_labels,
 )
 from .ingest import (
+    _accumulate,
     build_cooccurrence,
     hierarchy_to_relations,
     load_attribute_table,
     load_hierarchy_file,
-    load_relation_file,
+    load_relation_counts,
     read_attribute_names,
 )
 from .trainer import train, train_generalized
@@ -124,21 +125,20 @@ def load_config(path) -> HyperParams:
 
 def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
     rows, cols = np.nonzero(D)  # row-major order, as the file lists entries
+    # Counts repeat a lot, so each distinct value is formatted once.
+    distinct, which = np.unique(D[rows, cols], return_inverse=True)
+    texts = [format_float(value) for value in distinct.tolist()]
+    contexts = [name + "\t" for name in vocab.contexts]
+    labels = [name + "\t" for name in vocab.labels]
     lines = [
-        f"{vocab.contexts[c]}\t{vocab.labels[w]}\t{format_float(value)}"
-        for c, w, value in zip(rows.tolist(), cols.tolist(), D[rows, cols].tolist())
+        contexts[c] + labels[w] + texts[t]
+        for c, w, t in zip(rows.tolist(), cols.tolist(), which.tolist())
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
-    # One pass: names get ids in order of first appearance; the ids then
-    # map to positions in the sorted vocabulary and the counts are added in
-    # file order, so each cell sums exactly as a line-by-line loop would.
-    context_ids: dict[str, int] = {}
-    label_ids: dict[str, int] = {}
-    rows, cols, values = [], [], []
+def _cooccurrence_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -153,26 +153,11 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
                 raise ParseError(f"non-numeric count {parts[2]!r}", path=path, line=lineno) from None
             if not math.isfinite(value) or value < 0:
                 raise ParseError(f"count must be finite and >= 0, got {parts[2]}", path=path, line=lineno)
-            rows.append(context_ids.setdefault(parts[0], len(context_ids)))
-            cols.append(label_ids.setdefault(parts[1], len(label_ids)))
-            values.append(value)
+            yield parts[0], parts[1], value
 
-    def sorted_names(ids):
-        names = tuple(sorted(ids))
-        position = np.empty(len(names), dtype=np.intp)
-        position[[ids[name] for name in names]] = np.arange(len(names))
-        return names, position
 
-    contexts, context_position = sorted_names(context_ids)
-    labels, label_position = sorted_names(label_ids)
-    vocab = VocabularyMaps(labels=labels, context_lists=(contexts,))
-    D = np.zeros((len(contexts), len(labels)))
-    np.add.at(
-        D,
-        (context_position[np.array(rows, dtype=np.intp)], label_position[np.array(cols, dtype=np.intp)]),
-        np.array(values, dtype=np.float64),
-    )
-    return vocab, D
+def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
+    return _accumulate(_cooccurrence_lines(path))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +176,9 @@ def cmd_build_cooc(args) -> int:
         )
         names = tuple(sorted({name for edge in edges for name in edge}))
         vocab = VocabularyMaps(labels=names, context_lists=(names,))
+        D = build_cooccurrence(records, vocab)
     else:
-        records = load_relation_file(args.relations)
-        vocab = VocabularyMaps(
-            labels=tuple(sorted({r.label for r in records})),
-            context_lists=(tuple(sorted({r.context for r in records})),),
-        )
-    D = build_cooccurrence(records, vocab)
+        vocab, D = load_relation_counts(args.relations)
     write_cooccurrence_tsv(args.out, vocab, D.values)
     nnz = int(np.count_nonzero(D.values))
     print(f"labels={len(vocab.labels)} contexts={len(vocab.contexts)} nnz={nnz}")

@@ -114,37 +114,40 @@ def cluster_order(corr: np.ndarray, clusters: int) -> tuple[list[int], list[int]
     n = corr.shape[0]
     if not 1 <= clusters <= n:
         raise ValueError(f"cluster count must be in 1..{n}, got {clusters}")
-    dist = 1.0 - corr
 
-    groups: list[list[int]] = [[i] for i in range(n)]
-    snapshot = [list(g) for g in groups] if clusters == n else None
-    while len(groups) > 1:
-        best = None
-        best_key = None
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                ga, gb = groups[a], groups[b]
-                d = float(np.mean(dist[np.ix_(ga, gb)]))
-                lo, hi = sorted((min(ga), min(gb)))
-                key = (d, lo, hi)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (a, b)
-        a, b = best
-        if min(groups[a]) > min(groups[b]):
-            a, b = b, a
-        merged = groups[a] + groups[b]
-        groups = [g for i, g in enumerate(groups) if i not in (a, b)]
-        groups.append(merged)
-        if len(groups) == clusters:
-            snapshot = [list(g) for g in groups]
-
-    order = list(groups[0]) if n else []
-    assignment = [0] * n
-    for cluster_id, g in enumerate(sorted(snapshot, key=min)):
-        for i in g:
-            assignment[i] = cluster_id
-    return order, assignment
+    # Each group lives in the slot of its smallest member, so the
+    # row-major first minimum of the upper triangle of `avg` is the pair
+    # the tie rule picks. S[p, q] sums dist over p's rows and q's columns;
+    # a merge adds row and column b into a (O(n) per merge, O(n^2) for the
+    # argmin). A new group is always the later-formed side of its pairs,
+    # so its averages read column a, as the block mean of (older, newer).
+    S = 1.0 - corr
+    avg = np.where(np.tri(n, dtype=bool), np.inf, S)
+    size = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    members: list[list[int]] = [[i] for i in range(n)]
+    assignment = list(range(n))
+    for remaining in range(n - 1, 0, -1):
+        a, b = divmod(int(np.argmin(avg)), n)
+        if avg[a, b] == np.inf:  # every live average is +inf: smallest pair
+            a, b = np.flatnonzero(active)[:2].tolist()
+        members[a] += members[b]
+        S[a] += S[b]
+        S[:, a] += S[:, b]
+        size[a] += size[b]
+        active[b] = False
+        avg[b] = avg[:, b] = np.inf
+        others = np.flatnonzero(active)
+        others = others[others != a]
+        values = S[others, a] / (size[others] * size[a])
+        before = others < a
+        avg[others[before], a] = values[before]
+        avg[a, others[~before]] = values[~before]
+        if remaining == clusters:
+            for cluster_id, slot in enumerate(np.flatnonzero(active).tolist()):
+                for i in members[slot]:
+                    assignment[i] = cluster_id
+    return members[0], assignment
 
 
 @dataclass(frozen=True)

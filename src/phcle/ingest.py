@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,17 @@ class RelationRecord:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.label or not self.context:
-            raise ValueError("relation record needs non-empty label and context names")
-        if not math.isfinite(self.weight) or self.weight <= 0:
-            raise ValueError(
-                f"relation weight must be a positive finite number, got {self.weight!r} "
-                f"for {self.label!r} -> {self.context!r}"
-            )
+        _check_relation(self.label, self.context, self.weight)
+
+
+def _check_relation(label: str, context: str, weight: float) -> None:
+    if not label or not context:
+        raise ValueError("relation record needs non-empty label and context names")
+    if not math.isfinite(weight) or weight <= 0:
+        raise ValueError(
+            f"relation weight must be a positive finite number, got {weight!r} "
+            f"for {label!r} -> {context!r}"
+        )
 
 
 def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
@@ -45,6 +50,37 @@ def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
             raise ValueError(f"{exc} (record {rec.label!r} -> {rec.context!r})") from None
         D[c, w] += rec.weight
     return CooccurrenceMatrix(values=D)
+
+
+def _accumulate(entries) -> tuple[VocabularyMaps, np.ndarray]:
+    """Sum ``(context, label, value)`` entries into a contexts x labels
+    matrix over the sorted names, in one pass: names get ids in order of
+    first appearance, the ids then map to positions in the sorted
+    vocabulary, and the values are added in the order given, so each cell
+    sums exactly as a line-by-line loop would."""
+    context_ids = defaultdict(itertools.count().__next__)
+    label_ids = defaultdict(itertools.count().__next__)
+    rows, cols, values = [], [], []
+    for context, label, value in entries:
+        rows.append(context_ids[context])
+        cols.append(label_ids[label])
+        values.append(value)
+
+    def sorted_names(ids):
+        names = tuple(sorted(ids))
+        position = np.empty(len(names), dtype=np.intp)
+        position[[ids[name] for name in names]] = np.arange(len(names))
+        return names, position
+
+    contexts, context_position = sorted_names(context_ids)
+    labels, label_position = sorted_names(label_ids)
+    D = np.zeros((len(contexts), len(labels)))
+    np.add.at(
+        D,
+        (context_position[np.array(rows, dtype=np.intp)], label_position[np.array(cols, dtype=np.intp)]),
+        np.array(values, dtype=np.float64),
+    )
+    return VocabularyMaps(labels=labels, context_lists=(contexts,)), D
 
 
 def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[RelationRecord]:
@@ -97,9 +133,9 @@ def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[R
     return records
 
 
-def load_relation_file(path) -> list[RelationRecord]:
-    """Read tab-separated relation lines: label, context, optional weight."""
-    records = []
+def _relation_lines(path):
+    """Yield ``(context, label, weight)`` for each non-blank line of a
+    relation file; a bad line raises a :class:`ParseError` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -115,10 +151,24 @@ def load_relation_file(path) -> list[RelationRecord]:
                 except ValueError:
                     raise ParseError(f"non-numeric weight {parts[2]!r}", path=path, line=lineno) from None
             try:
-                records.append(RelationRecord(parts[0], parts[1], weight))
+                _check_relation(parts[0], parts[1], weight)
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-    return records
+            yield parts[1], parts[0], weight
+
+
+def load_relation_file(path) -> list[RelationRecord]:
+    """Read tab-separated relation lines: label, context, optional weight."""
+    return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(path)]
+
+
+def load_relation_counts(path) -> tuple[VocabularyMaps, CooccurrenceMatrix]:
+    """Read a relation file straight into counts: the vocabulary is the
+    sorted label and context names, and repeated pairs add up in file
+    order, as :func:`build_cooccurrence` on :func:`load_relation_file`
+    would give."""
+    vocab, D = _accumulate(_relation_lines(path))
+    return vocab, CooccurrenceMatrix(values=D)
 
 
 def load_hierarchy_file(path) -> list[tuple[str, str]]:

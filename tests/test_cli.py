@@ -17,6 +17,7 @@ from phcle.datamodel import (
     load_model,
 )
 from phcle.errors import ParseError
+from phcle.ingest import build_cooccurrence, load_relation_file
 from phcle.evaluation import (
     correlation_matrix,
     correlation_to_tsv,
@@ -171,6 +172,24 @@ class TestCoocRoundTrip:
         write_cooccurrence_tsv(path, vocab, D)
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
+    def test_writer_formats_repeated_values_like_each_cell(self, tmp_path):
+        rng = np.random.default_rng(13)
+        pool = np.array([1.0, 0.5, 2.0, 0.1 + 0.2, 1e-300, 1e300, 1 / 3, 7.0, 2.5e-7])
+        D = pool[rng.integers(0, pool.size, size=(11, 8))]
+        D[rng.random(D.shape) < 0.3] = 0.0
+        vocab = VocabularyMaps(
+            labels=tuple(f"l{w}" for w in range(8)), context_lists=(tuple(f"c{c}" for c in range(11)),)
+        )
+        expected = [
+            f"{context}\t{label}\t{format_float(D[c, w])}"
+            for c, context in enumerate(vocab.contexts)
+            for w, label in enumerate(vocab.labels)
+            if D[c, w] != 0.0
+        ]
+        path = tmp_path / "c.tsv"
+        write_cooccurrence_tsv(path, vocab, D)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
     def test_writer_on_all_zero_counts_writes_empty_file(self, tmp_path):
         vocab = VocabularyMaps(labels=("a",), context_lists=(("x", "y"),))
         path = tmp_path / "c.tsv"
@@ -263,6 +282,72 @@ class TestBuildCooc:
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         code = main(["build-cooc", "--relations", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_relations_bytes_match_record_path(self, tmp_path, capsys):
+        lines = [
+            "cat\tfarm", "dog\thome\t1e16", "", "cat\thome\t0.1", "dog\thome\t1",
+            "cat\thome\t0.2", "dog\thome\t1", "cat\thome\t0.3", "",
+            "cow\tbarn\t0.3", "cow\tbarn\t0.2", "cow\tbarn\t0.1",
+            "cow\tfarm\t1.2345678901234567", "ant\tfarm\t1e-300", "ant\tbarn\t1e300",
+            "bee\thome\t0.5", "cat\tfarm", "cow\thome\t2.5e-7", "bee\tbarn\t0.5",
+        ]
+        relations = tmp_path / "rel.tsv"
+        relations.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 0
+        # the record path: one record per line, summed cell by cell,
+        # written by visiting every cell
+        records = load_relation_file(relations)
+        vocab = VocabularyMaps(
+            labels=tuple(sorted({r.label for r in records})),
+            context_lists=(tuple(sorted({r.context for r in records})),),
+        )
+        D = build_cooccurrence(records, vocab).values
+        expected = [
+            f"{context}\t{label}\t{format_float(D[c, w])}"
+            for c, context in enumerate(vocab.contexts)
+            for w, label in enumerate(vocab.labels)
+            if D[c, w] != 0.0
+        ]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        assert capsys.readouterr().out == f"labels=5 contexts=3 nnz={len(expected)}\n"
+        written = dict(((c, w), v) for c, w, v in (line.split("\t") for line in expected))
+        assert written["home", "dog"] == "1e+16"  # 1e16 + 1 + 1 in file order
+        assert written["home", "cat"] != written["barn", "cow"]  # 0.1+0.2+0.3 vs 0.3+0.2+0.1
+        assert written["farm", "cow"] == "1.2345678901234567"
+
+    MALFORMED = [
+        ("cat", "expected 2 or 3 tab-separated fields, got 1"),
+        ("cat\tfarm\t1\tx", "expected 2 or 3 tab-separated fields, got 4"),
+        ("\tfarm\t1", "relation record needs non-empty label and context names"),
+        ("cat\t", "relation record needs non-empty label and context names"),
+        ("cat\tfarm\tmany", "non-numeric weight 'many'"),
+        ("cat\tfarm\t0", "relation weight must be a positive finite number, got 0.0 for 'cat' -> 'farm'"),
+        ("cat\tfarm\t-1", "relation weight must be a positive finite number, got -1.0 for 'cat' -> 'farm'"),
+        ("cat\tfarm\tinf", "relation weight must be a positive finite number, got inf for 'cat' -> 'farm'"),
+        ("cat\tfarm\tnan", "relation weight must be a positive finite number, got nan for 'cat' -> 'farm'"),
+    ]
+
+    @pytest.mark.parametrize("line,message", MALFORMED)
+    def test_malformed_relation_names_its_line(self, tmp_path, capsys, line, message):
+        relations = tmp_path / "rel.tsv"
+        relations.write_text("cat\tfarm\n\ndog\thome\t2\n" + line + "\ncow\tfarm\n")
+        out = tmp_path / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {relations}:4: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ParseError, match=message) as err:
+            load_relation_file(relations)
+        assert err.value.line == 4
+
+    def test_relation_weights_that_overflow_are_rejected(self, tmp_path, capsys):
+        relations = tmp_path / "rel.tsv"
+        relations.write_text("cat\tfarm\t1e308\ncat\tfarm\t1e308\n")
+        out = tmp_path / "cooc.tsv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cooccurrence matrix contains non-finite entries\n"
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
@@ -154,6 +156,107 @@ def random_correlation(rng, n, dim=3):
     return M
 
 
+def ref_cluster_order(corr, clusters):
+    """The earlier implementation, kept verbatim as the oracle: every
+    pairwise block mean recomputed at every merge (O(n^4))."""
+    corr = np.asarray(corr, dtype=np.float64)
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+        raise ValueError(f"correlation matrix must be square, got {corr.shape}")
+    n = corr.shape[0]
+    if not 1 <= clusters <= n:
+        raise ValueError(f"cluster count must be in 1..{n}, got {clusters}")
+    dist = 1.0 - corr
+
+    groups: list[list[int]] = [[i] for i in range(n)]
+    snapshot = [list(g) for g in groups] if clusters == n else None
+    while len(groups) > 1:
+        best = None
+        best_key = None
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                ga, gb = groups[a], groups[b]
+                d = float(np.mean(dist[np.ix_(ga, gb)]))
+                lo, hi = sorted((min(ga), min(gb)))
+                key = (d, lo, hi)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (a, b)
+        a, b = best
+        if min(groups[a]) > min(groups[b]):
+            a, b = b, a
+        merged = groups[a] + groups[b]
+        groups = [g for i, g in enumerate(groups) if i not in (a, b)]
+        groups.append(merged)
+        if len(groups) == clusters:
+            snapshot = [list(g) for g in groups]
+
+    order = list(groups[0]) if n else []
+    assignment = [0] * n
+    for cluster_id, g in enumerate(sorted(snapshot, key=min)):
+        for i in g:
+            assignment[i] = cluster_id
+    return order, assignment
+
+
+def assert_matches_reference(corr):
+    for k in range(1, corr.shape[0] + 1):
+        assert cluster_order(corr, k) == ref_cluster_order(corr, k), f"k={k}"
+
+
+def dyadic_correlation(rng, n):
+    M = np.triu(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n, n)), 1)
+    M = M + M.T
+    np.fill_diagonal(M, 1.0)
+    return M
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 24), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_property_cluster_order_matches_reference(n, dim, seed):
+    assert_matches_reference(random_correlation(np.random.default_rng(seed), n, dim))
+
+
+class TestClusterOrderTies:
+    """Exact ties: every average below is computed without rounding, or
+    from bitwise-equal rows, so the smallest-pair rule alone decides."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dyadic_entries(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        assert_matches_reference(dyadic_correlation(rng, int(rng.integers(2, 17))))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_columns(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(3, 17))
+        base = random_correlation(rng, int(rng.integers(1, n)), dim=int(rng.integers(1, 4)))
+        copies = rng.integers(0, base.shape[0], size=n)
+        assert_matches_reference(base[np.ix_(copies, copies)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_dyadic_columns(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        base = dyadic_correlation(rng, 5)
+        copies = rng.integers(0, 5, size=12)
+        assert_matches_reference(base[np.ix_(copies, copies)])
+
+    @pytest.mark.parametrize("value", [0.0, 0.25, 0.5, 0.75, -0.5])
+    def test_all_equal_off_diagonal(self, value):
+        n = 9
+        corr = np.full((n, n), value)
+        np.fill_diagonal(corr, 1.0)
+        assert_matches_reference(corr)
+        for k in range(1, n + 1):
+            # every pair ties, so group 0 absorbs 1, 2, ... in turn
+            assert cluster_order(corr, k) == (list(range(n)), [0] * (n - k + 1) + list(range(1, k)))
+
+    def test_infinite_distances_merge_by_smallest_pair(self):
+        corr = np.full((5, 5), -np.inf)
+        np.fill_diagonal(corr, 1.0)
+        corr[3, 4] = corr[4, 3] = 0.5
+        assert_matches_reference(corr)
+
+
 class TestClusterOrder:
     def test_two_planted_blocks(self):
         corr = np.array(
@@ -188,6 +291,19 @@ class TestClusterOrder:
         ref_parts = {frozenset(np.flatnonzero(ref == c)) for c in set(ref)}
         assert got_parts == ref_parts
 
+    @pytest.mark.parametrize("n,seed", [(40, 0), (40, 1), (200, 2), (200, 3)])
+    def test_partition_matches_reference_solver_when_larger(self, n, seed):
+        corr = random_correlation(np.random.default_rng(500 + seed), n, dim=5)
+        dist = 1.0 - corr
+        np.fill_diagonal(dist, 0.0)
+        Z = linkage(squareform(dist, checks=False), method="average")
+        for k in (1, 2, 3, 5, 8, n // 4, n - 1, n):
+            _, assignment = cluster_order(corr, k)
+            ref = fcluster(Z, t=k, criterion="maxclust")
+            got_parts = {frozenset(np.flatnonzero(np.array(assignment) == c)) for c in set(assignment)}
+            ref_parts = {frozenset(np.flatnonzero(ref == c)) for c in set(ref)}
+            assert got_parts == ref_parts, f"k={k}"
+
     @pytest.mark.parametrize("seed", range(3))
     def test_clusters_are_contiguous_in_leaf_order(self, seed):
         rng = np.random.default_rng(20 + seed)
@@ -214,6 +330,11 @@ class TestClusterOrder:
         order, assignment = cluster_order(corr, 4)
         assert assignment == [0, 1, 2, 3]
         assert sorted(order) == [0, 1, 2, 3]
+
+    def test_asymmetric_input_reads_blocks_as_the_reference_does(self):
+        rng = np.random.default_rng(400)
+        for n in (5, 9, 14):
+            assert_matches_reference(rng.standard_normal((n, n)))
 
     def test_single_point(self):
         assert cluster_order(np.array([[1.0]]), 1) == ([0], [0])
