@@ -21,6 +21,7 @@ import numpy as np
 from .datamodel import (
     HyperParams,
     VocabularyMaps,
+    _atomic_open,
     format_float,
     load_model,
     save_embeddings,
@@ -134,7 +135,7 @@ def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
         contexts[c] + labels[w] + texts[t]
         for c, w, t in zip(rows.tolist(), cols.tolist(), which.tolist())
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -248,7 +249,7 @@ def cmd_train(args) -> int:
 
     save_model(args.out, model, vocab, chosen)
     history_path = str(args.out) + ".history.tsv"
-    with open(history_path, "w", encoding="utf-8") as fh:
+    with _atomic_open(history_path) as fh:
         fh.write(history.to_tsv())
     first, last = history.records[0].objective, history.records[-1].objective
     print(

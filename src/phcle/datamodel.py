@@ -24,7 +24,9 @@ copied to C-ordered float64 and marked read-only.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -55,6 +57,32 @@ def format_float(x: float) -> str:
     """Shortest decimal string that parses back to exactly ``x``."""
     s = repr(float(x))
     return s[:-2] if s.endswith(".0") else s
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode="w"):
+    """Open a new file next to ``path`` for writing (``"w"`` for UTF-8 text,
+    ``"wb"`` for bytes) and move it onto ``path`` when the block ends.
+
+    Readers of ``path`` see the old file or the whole new one, never part of
+    it. If the block raises, the temp file is removed and ``path`` is left as
+    it was. The temp file is made by plain ``open``, so its permissions
+    follow the umask like any new file.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the file asked for, not the temp file
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -370,7 +398,7 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
     for j, name in enumerate(labels):
         vec = " ".join(format_float(v) for v in model.W[:, j])
         lines.append(f"{name} {vec}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -571,7 +599,7 @@ def save_model(path, model: EmbeddingModel, vocab: VocabularyMaps, hyper: HyperP
             w.matrix(arr)
             w.names(names)
     _write_hyper(w, hyper)
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(w.getvalue())
 
 
@@ -626,7 +654,14 @@ def load_model(path):
                     raise ParseError(f"{kind} table size disagrees with factor width", path=path)
     else:
         raise ParseError(f"not a model file (magic {magic!r})", path=path)
-    hyper = _read_hyper(r)
-    r.expect_end()
-    model = EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
-    return model, VocabularyMaps(labels, context_lists, attribute_lists), hyper
+    try:
+        hyper = _read_hyper(r)
+        r.expect_end()
+        model = EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
+        vocab = VocabularyMaps(labels, context_lists, attribute_lists)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # A well-framed file can still hold values the model types reject.
+        raise ParseError(str(exc), path=path) from None
+    return model, vocab, hyper

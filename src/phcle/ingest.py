@@ -225,7 +225,7 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
     m = len(names)
     A = np.zeros((len(vocab.labels), m))
     mask = np.zeros((len(vocab.labels), m))
-    seen: set[int] = set()
+    row_lines: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -239,9 +239,9 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
                 row = vocab.label_index(cells[0])
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-            if row in seen:
+            if row in row_lines:
                 raise ParseError(f"duplicate row for label {cells[0]!r}", path=path, line=lineno)
-            seen.add(row)
+            row_lines[row] = lineno
             fields = cells[1:]
             try:
                 A[row] = [0.0 if cell == "NA" else float(cell) for cell in fields]
@@ -249,6 +249,15 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
                 bad = next(cell for cell in fields if cell != "NA" and not _is_float(cell))
                 raise ParseError(f"non-numeric cell {bad!r}", path=path, line=lineno) from None
             mask[row] = [cell != "NA" for cell in fields]
+    # Unobserved cells hold 0.0 in A, so one scan finds any non-finite
+    # observed value; only then is its line looked up.
+    if not np.isfinite(A).all():
+        lineno = min(row_lines[row] for row in np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist())
+        with open(path, "r", encoding="utf-8") as fh:
+            line = next(itertools.islice(fh, lineno - 1, None))
+        cells = line.rstrip("\n").split("\t")[1:]
+        cell = next(cell for cell in cells if cell != "NA" and not math.isfinite(float(cell)))
+        raise ParseError(f"non-finite cell {cell!r}", path=path, line=lineno)
     return AttributeContext(assoc=A, mask=mask)
 
 

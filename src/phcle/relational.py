@@ -15,17 +15,19 @@ the matmuls. The gradients therefore take the sigmoid through the identity
 
     sigmoid(x) = (1 + tanh(x / 2)) / 2
 
-because numpy's vectorized ``tanh`` is several times faster than
-``scipy.special.expit``, and they build the residual ``E - D`` in place in a
-single dense temporary. The objective likewise computes softplus in place
-with one temporary next to the scores. ``expected_cooccurrence`` keeps the
-plain ``expit`` form.
+evaluated in place, and they build the residual ``E - D`` in the same single
+dense temporary. The objective likewise computes softplus in place with one
+temporary next to the scores.
+
+``expected_cooccurrence`` is not on the training path, so it keeps the
+``1 / (1 + exp(-x))`` form, which holds its relative accuracy where the
+sigmoid is tiny: ``(1 + tanh(x / 2)) / 2`` rounds to 0 near x = -40, where
+the sigmoid is about 4.2e-18.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 def _softplus_inplace(x: np.ndarray) -> np.ndarray:
@@ -98,7 +100,10 @@ def expected_cooccurrence(Q, C, W) -> np.ndarray:
         raise ValueError(
             f"bound shaped {Q.shape} needs C with {Q.shape[0]} columns and W with {Q.shape[1]} columns"
         )
-    return Q * expit(C.T @ W)
+    # exp(-X) overflows to inf for X below about -709, which gives the
+    # correct limit 0.
+    with np.errstate(over="ignore"):
+        return Q * (1.0 / (1.0 + np.exp(-(C.T @ W))))
 
 
 def _residual(D, Q, C, W) -> np.ndarray:

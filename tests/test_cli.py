@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import phcle
 from phcle.cli import (
     CONFIG_DEFAULTS,
     GRID_VALUES,
@@ -440,6 +445,79 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["retrieve", "--model", str(model_path), "--query", "cat", "--tsv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_attribute_cell_names_its_line(self, workspace, capsys, value):
+        cooc = workspace / "cooc.tsv"
+        main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
+        attrs = workspace / "attrs.tsv"
+        # dog's row comes first in the file, cat's first in the matrix
+        attrs.write_text(f"label\tlegs\ttail\ncow\t4\tNA\ndog\tNA\t{value}\ncat\t-inf\t1\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--attrs", str(attrs),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {attrs}:3: non-finite cell {value!r}\n"
+        assert not (workspace / "model.bin").exists()
+
+
+class TestAtomicOutputs:
+    """A write that fails leaves the file it would replace as it was and
+    no temp file behind; here the final rename fails, after the new
+    contents are complete."""
+
+    @pytest.mark.parametrize("output", ["cooc.tsv", "model.bin", "model.bin.history.tsv", "emb.txt"])
+    def test_failed_write_keeps_old_file(self, workspace, capsys, monkeypatch, output):
+        cooc, model = workspace / "cooc.tsv", workspace / "model.bin"
+        commands = {
+            "cooc.tsv": ["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)],
+            "model.bin": [
+                "train", "--cooc", str(cooc), "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"), "--out", str(model),
+            ],
+            "emb.txt": ["export", "--model", str(model), "--out", str(workspace / "emb.txt")],
+        }
+        commands["model.bin.history.tsv"] = commands["model.bin"]
+        if output != "cooc.tsv":
+            trained_model(workspace)
+        target = workspace / output
+        target.write_bytes(b"old\tbytes\n")
+        before = sorted(os.listdir(workspace))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.fspath(dst) == str(target):
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        assert main(commands[output]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert target.read_bytes() == b"old\tbytes\n"
+        assert sorted(os.listdir(workspace)) == before
+
+    def test_missing_directory_names_the_target(self, workspace, capsys):
+        out = workspace / "nowhere" / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        # A fresh interpreter, since this one has scipy loaded by the tests.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(phcle.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, phcle, phcle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestSharedAttributeNames:

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import os
+import struct
 
 import numpy as np
 import pytest
 
+from phcle.cli import main
 from phcle.datamodel import (
     AttributeContext,
     CooccurrenceMatrix,
@@ -11,6 +15,7 @@ from phcle.datamodel import (
     GeneralizedVocabulary,
     HyperParams,
     VocabularyMaps,
+    _atomic_open,
     format_float,
     init_model,
     load_embeddings,
@@ -332,6 +337,99 @@ class TestBinaryModel:
             assert np.array_equal(got, expected)
         assert loaded_vocab == vocab
         assert loaded_hyper == hyper
+
+
+def hyper_block(hyper: HyperParams, **changes) -> bytes:
+    """The hyperparameter block that ends a model file, written field by
+    field so that it can hold values ``HyperParams`` rejects."""
+    v = {**dataclasses.asdict(hyper), **changes}
+    out = struct.pack("<5d", *(v[k] for k in ("lambda1", "lambda2", "lambda3", "step_size", "tolerance")))
+    out += struct.pack(
+        "<7q",
+        *(v[k] for k in ("negative_samples", "outer_iters", "inner_steps_c", "inner_steps_w",
+                         "inner_max_iter", "seed", "dim")),
+    )
+    init = v["init_scheme"].encode()
+    out += struct.pack("<Q", len(init)) + init
+    for weights in (v["alpha"], v["beta"]):
+        out += struct.pack(f"<Q{len(weights)}d", len(weights), *weights)
+    return out
+
+
+def with_hyper(data: bytes, hyper: HyperParams, **changes) -> bytes:
+    good = hyper_block(hyper)
+    assert data.endswith(good)
+    return data[: -len(good)] + hyper_block(hyper, **changes)
+
+
+# Well-framed PHCLE1 files (dim 5; labels cat, dog, horse; 2 contexts and
+# 2 attributes) edited to hold a value the model types reject, and the
+# message the load reports after the path.
+BAD_PAYLOADS = {
+    "non-finite factor": (
+        lambda data, hyper: data[:38] + struct.pack("<d", np.nan) + data[46:],
+        "factor W contains non-finite entries",
+    ),
+    "tab in a name": (lambda data, hyper: data.replace(b"dog", b"d\tg"), "label name 'd\\tg' contains a tab or newline"),
+    "duplicate names": (lambda data, hyper: data.replace(b"dog", b"cat"), "duplicate label names"),
+    "dim 0": (
+        lambda data, hyper: b"PHCLE1" + struct.pack("<4Q", 0, 3, 2, 2) + data[38 + 8 * 5 * 7 :],
+        "embedding dimension must be >= 1",
+    ),
+    "negative lambda": (lambda data, hyper: with_hyper(data, hyper, lambda2=-0.5), "lambda2 must be >= 0"),
+    "alpha not summing to 1": (
+        lambda data, hyper: with_hyper(data, hyper, alpha=(0.5,)),
+        "alpha weights must sum to 1, got 0.5",
+    ),
+    # a ParseError raised inside the hyperparameter block keeps its one prefix
+    "truncated hyperparameters": (lambda data, hyper: data[:-4], "truncated model file"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAYLOADS)
+def test_bad_model_payload_is_a_parse_error(tmp_path, capsys, case):
+    model, vocab, hyper = TestBinaryModel().make()
+    good = tmp_path / "good.bin"
+    save_model(good, model, vocab, hyper)
+    edit, message = BAD_PAYLOADS[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(edit(good.read_bytes(), hyper))
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.path == path
+    assert main(["retrieve", "--model", str(path), "--query", "cat"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+class TestAtomicWrites:
+    def test_failure_mid_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old contents\n")
+        with pytest.raises(RuntimeError, match="disk gone"):
+            with _atomic_open(target) as fh:
+                fh.write("new con")
+                fh.flush()
+                raise RuntimeError("disk gone")
+        assert target.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_replaces_the_target_whole(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"a much longer old payload")
+        with _atomic_open(target, "wb") as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        model, vocab, hyper = TestBinaryModel().make()
+        previous = os.umask(0o027)
+        try:
+            save_model(tmp_path / "m.bin", model, vocab, hyper)
+        finally:
+            os.umask(previous)
+        assert os.stat(tmp_path / "m.bin").st_mode & 0o777 == 0o640
 
 
 class TestMultiContextVocabulary:

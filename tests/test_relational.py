@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -87,6 +89,14 @@ class TestExpectedCooccurrence:
         D, Q, C, W = random_instance(rng, 4, 5, 3)
         E = expected_cooccurrence(Q, C, W)
         np.testing.assert_allclose(E, Q * expit(C.T @ W), rtol=1e-15)
+        # Scores far into both tails, where exp overflows, and at 0; with C
+        # a single 1 the scores are exactly the entries of W.
+        scores = np.array([[40.0, -40.0, 800.0, -800.0, 0.0]])
+        Q = rng.uniform(1.0, 4.0, size=(1, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = expected_cooccurrence(Q, np.ones((1, 1)), scores)
+        np.testing.assert_allclose(E, Q * expit(scores), rtol=1e-15)
 
     def test_bounded_by_q(self):
         rng = np.random.default_rng(9)
