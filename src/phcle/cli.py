@@ -37,7 +37,6 @@ from .evaluation import (
 )
 from .ingest import (
     _accumulate,
-    build_cooccurrence,
     hierarchy_to_relations,
     load_attribute_table,
     load_hierarchy_file,
@@ -158,7 +157,19 @@ def _cooccurrence_lines(path):
 
 
 def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
-    return _accumulate(_cooccurrence_lines(path))
+    """Sum a co-occurrence file into its vocabulary and counts. A bad line
+    raises a :class:`ParseError` naming it; a bad name, or duplicate lines
+    whose sum overflows, raise one naming the file."""
+    try:
+        with np.errstate(over="ignore"):  # an overflowing sum is reported below
+            vocab, D = _accumulate(_cooccurrence_lines(path))
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
+    if not np.isfinite(D).all():
+        raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
+    return vocab, D
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +186,14 @@ def cmd_build_cooc(args) -> int:
             radius=args.radius if args.radius is not None else 2,
             decay=args.decay if args.decay is not None else 0.5,
         )
-        names = tuple(sorted({name for edge in edges for name in edge}))
-        vocab = VocabularyMaps(labels=names, context_lists=(names,))
-        D = build_cooccurrence(records, vocab)
+        # Each ordered pair comes once and every node has a partner, so
+        # this sums and names exactly as build_cooccurrence would.
+        vocab, D = _accumulate((r.context, r.label, r.weight) for r in records)
     else:
-        vocab, D = load_relation_counts(args.relations)
-    write_cooccurrence_tsv(args.out, vocab, D.values)
-    nnz = int(np.count_nonzero(D.values))
+        vocab, counts = load_relation_counts(args.relations)
+        D = counts.values
+    write_cooccurrence_tsv(args.out, vocab, D)
+    nnz = int(np.count_nonzero(D))
     print(f"labels={len(vocab.labels)} contexts={len(vocab.contexts)} nnz={nnz}")
     return 0
 

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import DivergenceError
 
 LIPSCHITZ_FLOOR = 1e-12
-_POWER_REL_TOL = 1e-8
 
 
 def _check_shapes(A, I, W, U):
@@ -149,38 +148,23 @@ def prox_elastic_net(K, tau: float, lambda2: float, lambda3: float) -> np.ndarra
     return _prox(np.asarray(K, dtype=np.float64), tau, lambda2, lambda3)
 
 
-def _power_max_eig(B: np.ndarray) -> float:
-    # Largest eigenvalue of a symmetric PSD matrix by power iteration.
-    # Deterministic seeded start; a fixed ones vector could be orthogonal
-    # to the top eigenspace.
-    n = B.shape[0]
-    v = np.random.default_rng(0).standard_normal(n)
-    norm = np.linalg.norm(v)
-    if norm == 0 or n == 0:
-        return 0.0
-    v /= norm
-    eig = 0.0
-    for _ in range(100 * n + 1000):
-        w = B @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        new_eig = float(v @ (B @ v))
-        if abs(new_eig - eig) <= _POWER_REL_TOL * max(abs(new_eig), LIPSCHITZ_FLOOR):
-            return new_eig
-        eig = new_eig
-    return eig
-
-
 def lipschitz_bound(W, weight: float) -> float:
-    """Upper bound on the curvature of the smooth descriptive loss in U:
-    ``weight * lambda_max(W W^T)``, floored at a tiny positive value so a
-    step size 1/L stays finite even for an all-zero W."""
+    """Exact curvature of the smooth descriptive loss in U,
+    ``weight * lambda_max(W W^T)``, from LAPACK's symmetric eigensolver on
+    the dim x dim Gram. It is floored at a tiny positive value so a step
+    size 1/L stays finite even for an all-zero or empty W, and it is inf
+    when the Gram has a non-finite entry (there ``eigvalsh`` gives 0 or
+    NaN), so the solve diverges instead of stepping blindly."""
     W = np.asarray(W, dtype=np.float64)
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    return max(weight * _power_max_eig(W @ W.T), LIPSCHITZ_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = W @ W.T
+    if not np.isfinite(gram).all():
+        return np.inf
+    if gram.size == 0:
+        return LIPSCHITZ_FLOOR
+    return max(weight * float(np.linalg.eigvalsh(gram)[-1]), LIPSCHITZ_FLOOR)
 
 
 def _add_penalties(misfit, U, lambda2, lambda3) -> float:

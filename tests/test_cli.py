@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from phcle.datamodel import (
     load_model,
 )
 from phcle.errors import ParseError
-from phcle.ingest import build_cooccurrence, load_relation_file
+from phcle.ingest import build_cooccurrence, hierarchy_to_relations, load_relation_file
 from phcle.evaluation import (
     correlation_matrix,
     correlation_to_tsv,
@@ -321,6 +322,41 @@ class TestBuildCooc:
         assert written["home", "cat"] != written["barn", "cow"]  # 0.1+0.2+0.3 vs 0.3+0.2+0.1
         assert written["farm", "cow"] == "1.2345678901234567"
 
+    @staticmethod
+    def random_tree(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        # names whose sorted order differs from the order they appear in
+        names = [f"n{k}" for k in rng.permutation(n)]
+        return [(names[int(rng.integers(0, child))], names[child]) for child in range(1, n)]
+
+    # a 3-cycle listed twice (once reversed) with a tail and a second component
+    CYCLE = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b"), ("b", "a"), ("c", "d"), ("x", "y")]
+
+    @pytest.mark.parametrize("radius,decay", [(1, 1.0), (1, 0.5), (3, 1.0), (3, 0.5)])
+    @pytest.mark.parametrize("graph", ["tree-0", "tree-1", "tree-2", "tree-3", "cycle"])
+    def test_hierarchy_bytes_match_record_path(self, tmp_path, capsys, graph, radius, decay):
+        edges = self.CYCLE if graph == "cycle" else self.random_tree(int(graph.split("-")[1]))
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_text("".join(f"{p}\t{c}\n" for p, c in edges))
+        out = tmp_path / "cooc.tsv"
+        argv = ["build-cooc", "--hierarchy", str(hierarchy), "--radius", str(radius), "--decay", str(decay)]
+        assert main([*argv, "--out", str(out)]) == 0
+        # the record path: every name in both roles, summed cell by cell,
+        # written by visiting every cell
+        names = tuple(sorted({name for edge in edges for name in edge}))
+        vocab = VocabularyMaps(labels=names, context_lists=(names,))
+        D = build_cooccurrence(hierarchy_to_relations(edges, radius=radius, decay=decay), vocab).values
+        expected = [
+            f"{context}\t{label}\t{format_float(D[c, w])}"
+            for c, context in enumerate(names)
+            for w, label in enumerate(names)
+            if D[c, w] != 0.0
+        ]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        n = len(names)
+        assert capsys.readouterr().out == f"labels={n} contexts={n} nnz={len(expected)}\n"
+
     MALFORMED = [
         ("cat", "expected 2 or 3 tab-separated fields, got 1"),
         ("cat\tfarm\t1\tx", "expected 2 or 3 tab-separated fields, got 4"),
@@ -466,6 +502,51 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {attrs}:3: non-finite cell {value!r}\n"
         assert not (workspace / "model.bin").exists()
+
+
+    @pytest.mark.parametrize(
+        "line,message", [("\ta\t2", "empty context name"), ("x\t\t2", "empty label name")]
+    )
+    def test_empty_cooc_name_names_its_file(self, workspace, capsys, line, message):
+        cooc = workspace / "cooc.tsv"
+        cooc.write_text("cat\tfarm\t1\n" + line + "\n")
+        code = main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cooc}: {message}\n"
+        assert not (workspace / "model.bin").exists()
+
+    def test_overflowing_cooc_sum_names_its_file(self, workspace, capsys):
+        cooc = workspace / "cooc.tsv"
+        cooc.write_text("farm\tcat\t1e308\nhome\tdog\t1\nfarm\tcat\t1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "train",
+                    "--cooc", str(cooc),
+                    "--attrs", str(workspace / "attrs.tsv"),
+                    "--config", str(workspace / "config"),
+                    "--out", str(workspace / "model.bin"),
+                ]
+            )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cooc}: cooccurrence matrix contains non-finite entries\n"
+        assert not (workspace / "model.bin").exists()
+
+    def test_bad_cooc_line_keeps_its_line_number(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("x\ta\t1\n\ty\t1\nx\ta\tmany\n")
+        with pytest.raises(ParseError) as err:
+            read_cooccurrence_tsv(path)
+        assert str(err.value) == f"{path}:3: non-numeric count 'many'"
 
 
 class TestAtomicOutputs:

@@ -184,6 +184,68 @@ class TestLipschitzBound:
             lipschitz_bound(np.ones((2, 2)), -1.0)
 
 
+def with_top_singular_values(rng, dim, labels, top):
+    """A random dim x labels W whose leading singular values are ``top``,
+    followed by smaller random ones."""
+    k = min(dim, labels)
+    rest = np.sort(rng.uniform(0.0, 0.5, size=k))[::-1] * min(top)
+    s = np.concatenate([top, rest])[:k]
+    left, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+    right, _ = np.linalg.qr(rng.standard_normal((labels, k)))
+    return (left * s) @ right.T
+
+
+class TestExactLipschitzBound:
+    # Overflows a normalization that squares the entries; the bound must
+    # still see the 1e80 entry.
+    HUGE_W = np.array([[1e80, 0.0, 0.0], [0.0, 1.0, -0.5]])
+
+    def test_huge_entry_gives_its_square(self):
+        assert lipschitz_bound(self.HUGE_W, 1.0) == pytest.approx(1e160, rel=1e-12)
+
+    def test_fista_descends_with_a_huge_entry(self):
+        A = np.random.default_rng(0).standard_normal((3, 4))
+        I = np.ones_like(A)
+        U0 = np.full((2, 4), 1e-81)
+        h = HyperParams(lambda2=0.01, lambda3=0.01, tolerance=1e-12)
+        U, _, F = fista_solve_U(A, I, self.HUGE_W, U0, h)
+        assert np.isfinite(U).all()
+        F0 = elastic_net_objective(A, I, self.HUGE_W, U0, h.lambda1, h.lambda2, h.lambda3)
+        assert F < F0
+
+    @pytest.mark.parametrize(
+        "W",
+        [
+            np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]]),
+            np.full((2, 3), 1e155),
+        ],
+        ids=["nan", "gram-overflow"],
+    )
+    def test_non_finite_gram_is_inf_and_diverges(self, W):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_bound(W, 1.0) == np.inf
+        A = np.random.default_rng(0).standard_normal((3, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                fista_solve_U(A, np.ones_like(A), W, np.zeros((2, 4)), HyperParams())
+
+    def test_dim_zero_hits_floor(self):
+        assert lipschitz_bound(np.zeros((0, 5)), 1.0) == LIPSCHITZ_FLOOR
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("top", ["distinct", "tied", "nearly-tied"])
+    def test_agrees_with_eigvalsh(self, seed, top):
+        rng = np.random.default_rng(seed)
+        dim, labels = int(rng.integers(2, 9)), int(rng.integers(2, 30))
+        s1 = float(rng.uniform(0.5, 20.0))
+        leading = {"distinct": [s1, 0.5 * s1], "tied": [s1, s1], "nearly-tied": [s1, s1 * (1 - 1e-9)]}
+        W = with_top_singular_values(rng, dim, labels, leading[top])
+        weight = float(rng.uniform(0.1, 4.0))
+        expected = weight * float(np.linalg.eigvalsh(W @ W.T)[-1])
+        assert lipschitz_bound(W, weight) == pytest.approx(expected, rel=1e-12)
+
+
 class TestFista:
     def hyper(self, **kw):
         base = dict(lambda1=1.0, lambda2=0.05, lambda3=0.1, inner_max_iter=50, tolerance=1e-4)
