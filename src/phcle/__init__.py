@@ -27,7 +27,6 @@ from .evaluation import (
 from .ingest import (
     RelationRecord,
     build_cooccurrence,
-    compute_negative_bound,
     hierarchy_to_relations,
     load_attribute_table,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "VocabularyMaps",
     "build_cooccurrence",
     "cluster_order",
-    "compute_negative_bound",
     "correlation_matrix",
     "cosine_similarity",
     "describe_embedding",

@@ -160,16 +160,7 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Sum a co-occurrence file into its vocabulary and counts. A bad line
     raises a :class:`ParseError` naming it; a bad name, or duplicate lines
     whose sum overflows, raise one naming the file."""
-    try:
-        with np.errstate(over="ignore"):  # an overflowing sum is reported below
-            vocab, D = _accumulate(_cooccurrence_lines(path))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from None
-    if not np.isfinite(D).all():
-        raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
-    return vocab, D
+    return _accumulate(_cooccurrence_lines(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +179,9 @@ def cmd_build_cooc(args) -> int:
         )
         # Each ordered pair comes once and every node has a partner, so
         # this sums and names exactly as build_cooccurrence would.
-        vocab, D = _accumulate((r.context, r.label, r.weight) for r in records)
+        vocab, D = _accumulate(((r.context, r.label, r.weight) for r in records), args.hierarchy)
     else:
-        vocab, counts = load_relation_counts(args.relations)
-        D = counts.values
+        vocab, D = load_relation_counts(args.relations)
     write_cooccurrence_tsv(args.out, vocab, D)
     nnz = int(np.count_nonzero(D))
     print(f"labels={len(vocab.labels)} contexts={len(vocab.contexts)} nnz={nnz}")

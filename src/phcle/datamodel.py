@@ -270,6 +270,8 @@ def _simplex_weights(values, name, *, require_nonnegative):
         raise ValueError(f"{name} must contain at least one weight")
     if require_nonnegative and any(w < 0 for w in weights):
         raise ValueError(f"{name} weights must be >= 0")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"{name} weights must be finite, got {weights!r}")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"{name} weights must sum to 1, got {sum(weights)!r}")
     return weights
@@ -306,6 +308,11 @@ class HyperParams:
             raise ValueError("step_size must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        for name in ("lambda1", "lambda2", "lambda3", "step_size", "tolerance"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -339,6 +346,8 @@ def parse_init_scheme(scheme: str) -> tuple[str, float]:
             raise ValueError(f"bad init scale in {scheme!r}") from None
         if not np.isfinite(scale) or scale < 0:
             raise ValueError(f"init scale must be a finite nonnegative number, got {scheme!r}")
+        if not np.isfinite(2 * scale):
+            raise ValueError(f"init scale too large in {scheme!r}: the width 2*scale of [-scale, scale] overflows")
         return "uniform_random", scale
     raise ValueError(f"unknown init scheme {scheme!r} (expected 'ones' or 'uniform_random(scale)')")
 
@@ -526,39 +535,27 @@ class _Reader:
             raise ParseError("trailing bytes after model payload", path=self.path)
 
 
+# The hyperparameter block that ends a model file: these fields in this
+# order, then init_scheme, alpha and beta.
+_HYPER_F64 = ("lambda1", "lambda2", "lambda3", "step_size", "tolerance")
+_HYPER_I64 = ("negative_samples", "outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "seed", "dim")
+
+
 def _write_hyper(w: _Writer, hyper: HyperParams):
-    for v in (hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.step_size, hyper.tolerance):
-        w.f64(v)
-    for v in (
-        hyper.negative_samples,
-        hyper.outer_iters,
-        hyper.inner_steps_c,
-        hyper.inner_steps_w,
-        hyper.inner_max_iter,
-        hyper.seed,
-        hyper.dim,
-    ):
-        w.i64(v)
+    for name in _HYPER_F64:
+        w.f64(getattr(hyper, name))
+    for name in _HYPER_I64:
+        w.i64(getattr(hyper, name))
     w.string(hyper.init_scheme)
     w.floats(hyper.alpha)
     w.floats(hyper.beta)
 
 
 def _read_hyper(r: _Reader) -> HyperParams:
-    lambda1, lambda2, lambda3, step_size, tolerance = (r.f64() for _ in range(5))
-    (negative_samples, outer_iters, inner_steps_c, inner_steps_w,
-     inner_max_iter, seed, dim) = (r.i64() for _ in range(7))
-    init_scheme = r.string()
-    alpha = r.floats()
-    beta = r.floats()
-    return HyperParams(
-        lambda1=lambda1, lambda2=lambda2, lambda3=lambda3,
-        negative_samples=negative_samples, step_size=step_size,
-        outer_iters=outer_iters, inner_steps_c=inner_steps_c,
-        inner_steps_w=inner_steps_w, inner_max_iter=inner_max_iter,
-        tolerance=tolerance, seed=seed, init_scheme=init_scheme, dim=dim,
-        alpha=alpha, beta=beta,
-    )
+    fields = {name: r.f64() for name in _HYPER_F64}
+    fields.update((name, r.i64()) for name in _HYPER_I64)
+    # keyword arguments are evaluated left to right, so in file order
+    return HyperParams(**fields, init_scheme=r.string(), alpha=r.floats(), beta=r.floats())
 
 
 def save_model(path, model: EmbeddingModel, vocab: VocabularyMaps, hyper: HyperParams) -> None:

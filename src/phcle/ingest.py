@@ -52,19 +52,20 @@ def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
     return CooccurrenceMatrix(values=D)
 
 
-def _accumulate(entries) -> tuple[VocabularyMaps, np.ndarray]:
-    """Sum ``(context, label, value)`` entries into a contexts x labels
-    matrix over the sorted names, in one pass: names get ids in order of
-    first appearance, the ids then map to positions in the sorted
-    vocabulary, and the values are added in the order given, so each cell
-    sums exactly as a line-by-line loop would."""
+def _accumulate(entries, path) -> tuple[VocabularyMaps, np.ndarray]:
+    """Sum ``(context, label, value)`` entries from the file ``path`` into
+    a contexts x labels matrix over the sorted names, in one pass: names
+    get ids in order of first appearance, the ids then map to positions in
+    the sorted vocabulary, and the values are added in the order given, so
+    each cell sums exactly as a line-by-line loop would.
+
+    A :class:`ParseError` from ``entries`` keeps its line; any other
+    ``ValueError`` (an undecodable byte, a bad name) and a sum that
+    overflows become one naming ``path``.
+    """
     context_ids = defaultdict(itertools.count().__next__)
     label_ids = defaultdict(itertools.count().__next__)
     rows, cols, values = [], [], []
-    for context, label, value in entries:
-        rows.append(context_ids[context])
-        cols.append(label_ids[label])
-        values.append(value)
 
     def sorted_names(ids):
         names = tuple(sorted(ids))
@@ -72,15 +73,28 @@ def _accumulate(entries) -> tuple[VocabularyMaps, np.ndarray]:
         position[[ids[name] for name in names]] = np.arange(len(names))
         return names, position
 
-    contexts, context_position = sorted_names(context_ids)
-    labels, label_position = sorted_names(label_ids)
+    try:
+        for context, label, value in entries:
+            rows.append(context_ids[context])
+            cols.append(label_ids[label])
+            values.append(value)
+        contexts, context_position = sorted_names(context_ids)
+        labels, label_position = sorted_names(label_ids)
+        vocab = VocabularyMaps(labels=labels, context_lists=(contexts,))
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
     D = np.zeros((len(contexts), len(labels)))
-    np.add.at(
-        D,
-        (context_position[np.array(rows, dtype=np.intp)], label_position[np.array(cols, dtype=np.intp)]),
-        np.array(values, dtype=np.float64),
-    )
-    return VocabularyMaps(labels=labels, context_lists=(contexts,)), D
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        np.add.at(
+            D,
+            (context_position[np.array(rows, dtype=np.intp)], label_position[np.array(cols, dtype=np.intp)]),
+            np.array(values, dtype=np.float64),
+        )
+    if not np.isfinite(D).all():
+        raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
+    return vocab, D
 
 
 def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[RelationRecord]:
@@ -162,13 +176,12 @@ def load_relation_file(path) -> list[RelationRecord]:
     return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(path)]
 
 
-def load_relation_counts(path) -> tuple[VocabularyMaps, CooccurrenceMatrix]:
+def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Read a relation file straight into counts: the vocabulary is the
     sorted label and context names, and repeated pairs add up in file
     order, as :func:`build_cooccurrence` on :func:`load_relation_file`
     would give."""
-    vocab, D = _accumulate(_relation_lines(path))
-    return vocab, CooccurrenceMatrix(values=D)
+    return _accumulate(_relation_lines(path), path)
 
 
 def load_hierarchy_file(path) -> list[tuple[str, str]]:
@@ -273,10 +286,3 @@ def negative_bound_values(D: np.ndarray, negative_samples: int) -> np.ndarray:
     context_mass = D.sum(axis=1)
     label_mass = D.sum(axis=0)
     return negative_samples * np.outer(context_mass, label_mass) / total + D
-
-
-def compute_negative_bound(D: CooccurrenceMatrix, negative_samples: int) -> CooccurrenceMatrix:
-    """Wrap :func:`negative_bound_values` for the typed matrices. The
-    result dominates the counts entrywise; it has their orientation and
-    their finite, >= 0 checks, so it is a :class:`CooccurrenceMatrix` too."""
-    return CooccurrenceMatrix(values=negative_bound_values(D.values, negative_samples))

@@ -62,6 +62,13 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def decode_error(path):
+    """The message of the UTF-8 error that decoding the whole file gives."""
+    with pytest.raises(UnicodeDecodeError) as err:
+        path.read_bytes().decode("utf-8")
+    return str(err.value)
+
+
 def trained_model(workspace):
     cooc = workspace / "cooc.tsv"
     model = workspace / "model.bin"
@@ -143,6 +150,11 @@ class TestConfig:
         assert float(CONFIG_DEFAULTS["step"]) == hyper.step_size
         assert float(CONFIG_DEFAULTS["epsilon"]) == hyper.tolerance
         assert CONFIG_DEFAULTS["init"] == hyper.init_scheme
+
+    def test_empty_file_gives_every_default(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("")
+        assert load_config(path) == HyperParams()
 
     def test_grid_values(self):
         assert GRID_VALUES == (1e-2, 1e-1, 1.0, 1e1, 1e2)
@@ -385,9 +397,18 @@ class TestBuildCooc:
         relations = tmp_path / "rel.tsv"
         relations.write_text("cat\tfarm\t1e308\ncat\tfarm\t1e308\n")
         out = tmp_path / "cooc.tsv"
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: cooccurrence matrix contains non-finite entries\n"
+        assert capsys.readouterr().err == f"error: {relations}: cooccurrence matrix contains non-finite entries\n"
+        assert not out.exists()
+
+    def test_undecodable_relation_file_names_its_file(self, tmp_path, capsys):
+        relations = tmp_path / "rel.tsv"
+        relations.write_bytes(b"cat\tfarm\ncow\tb\xffrn\t2\n")
+        out = tmp_path / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {relations}: {decode_error(relations)}\n"
         assert not out.exists()
 
 
@@ -402,14 +423,13 @@ class TestTrainCommand:
         assert vocab.labels == ("cat", "cow", "dog")
         assert vocab.attributes == ("legs", "tail")
         assert hyper.dim == 3
-        history = (str(model_path) + ".history.tsv")
-        lines = open(history).read().splitlines()
+        lines = model_path.with_name("model.bin.history.tsv").read_text().splitlines()
         assert lines[0].startswith("iteration\tobjective")
         assert len(lines) == 4
 
     def test_retrain_is_byte_identical(self, workspace, capsys):
         first = trained_model(workspace)
-        data_first = open(first, "rb").read()
+        data_first = first.read_bytes()
         second_dir = workspace / "again"
         second_dir.mkdir()
         cooc = workspace / "cooc.tsv"
@@ -423,7 +443,7 @@ class TestTrainCommand:
                 "--out", str(second),
             ]
         )
-        assert open(second, "rb").read() == data_first
+        assert second.read_bytes() == data_first
 
     def test_divergent_step_exits_three(self, workspace, capsys):
         cooc = workspace / "cooc.tsv"
@@ -441,6 +461,45 @@ class TestTrainCommand:
         )
         assert code == 3
         assert "step_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("lambda1 = nan", "lambda1 must be finite, got nan"),
+            ("lambda2 = inf", "lambda2 must be finite, got inf"),
+            ("lambda3 = nan", "lambda3 must be finite, got nan"),
+            ("step = nan", "step_size must be finite, got nan"),
+            ("step = inf", "step_size must be finite, got inf"),
+            ("epsilon = inf", "tolerance must be finite, got inf"),
+            ("alpha = nan", "alpha weights must be finite, got (nan,)"),
+            ("beta = 0.5, nan", "beta weights must be finite, got (0.5, nan)"),
+            ("seed = -1", "seed must be >= 0"),
+            (
+                "init = uniform_random(1e308)",
+                "init scale too large in 'uniform_random(1e308)': the width 2*scale of [-scale, scale] overflows",
+            ),
+        ],
+    )
+    def test_unusable_config_value_exits_two(self, workspace, capsys, setting, message):
+        cooc = workspace / "cooc.tsv"
+        main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
+        capsys.readouterr()
+        key = setting.split(" = ")[0]
+        config = workspace / "config"
+        lines = [setting if line.startswith(f"{key} =") else line for line in FULL_CONFIG.splitlines()]
+        config.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(config),
+                "--out", str(workspace / "model.bin"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: bad config value: {message}\n"
+        assert not (workspace / "model.bin").exists()
 
     def test_bad_config_exits_two(self, workspace, capsys):
         cooc = workspace / "cooc.tsv"
@@ -539,6 +598,22 @@ class TestTrainCommand:
             )
         assert code == 2
         assert capsys.readouterr().err == f"error: {cooc}: cooccurrence matrix contains non-finite entries\n"
+        assert not (workspace / "model.bin").exists()
+
+    def test_undecodable_cooc_file_names_its_file(self, workspace, capsys):
+        cooc = workspace / "cooc.tsv"
+        cooc.write_bytes(b"farm\tcat\t1\nh\xffme\tdog\t1\n")
+        code = main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cooc}: {decode_error(cooc)}\n"
         assert not (workspace / "model.bin").exists()
 
     def test_bad_cooc_line_keeps_its_line_number(self, tmp_path):
@@ -831,7 +906,7 @@ class TestReadOnlyCommands:
 
     def test_future_version_exits_two(self, workspace, capsys):
         model_path = trained_model(workspace)
-        data = bytearray(open(model_path, "rb").read())
+        data = bytearray(model_path.read_bytes())
         data[5:6] = b"7"
         bad = workspace / "future.bin"
         bad.write_bytes(bytes(data))

@@ -170,6 +170,14 @@ class TestHyperParams:
             {"alpha": (-0.5, 1.5)},
             {"beta": (0.9,)},
             {"init_scheme": "nope"},
+            {"lambda1": np.nan},
+            {"lambda3": np.inf},
+            {"step_size": np.inf},
+            {"tolerance": np.nan},
+            {"alpha": (np.nan,)},
+            {"beta": (0.5, np.inf)},
+            {"seed": -1},
+            {"init_scheme": "uniform_random(1e308)"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -380,6 +388,22 @@ BAD_PAYLOADS = {
     "alpha not summing to 1": (
         lambda data, hyper: with_hyper(data, hyper, alpha=(0.5,)),
         "alpha weights must sum to 1, got 0.5",
+    ),
+    "nan lambda": (lambda data, hyper: with_hyper(data, hyper, lambda1=np.nan), "lambda1 must be finite, got nan"),
+    "infinite step": (lambda data, hyper: with_hyper(data, hyper, step_size=np.inf), "step_size must be finite, got inf"),
+    "nan tolerance": (lambda data, hyper: with_hyper(data, hyper, tolerance=np.nan), "tolerance must be finite, got nan"),
+    "nan alpha weight": (
+        lambda data, hyper: with_hyper(data, hyper, alpha=(np.nan,)),
+        "alpha weights must be finite, got (nan,)",
+    ),
+    "infinite beta weight": (
+        lambda data, hyper: with_hyper(data, hyper, beta=(np.inf,)),
+        "beta weights must be finite, got (inf,)",
+    ),
+    "negative seed": (lambda data, hyper: with_hyper(data, hyper, seed=-1), "seed must be >= 0"),
+    "init range overflows": (
+        lambda data, hyper: with_hyper(data, hyper, init_scheme="uniform_random(1e308)"),
+        "init scale too large in 'uniform_random(1e308)': the width 2*scale of [-scale, scale] overflows",
     ),
     # a ParseError raised inside the hyperparameter block keeps its one prefix
     "truncated hyperparameters": (lambda data, hyper: data[:-4], "truncated model file"),

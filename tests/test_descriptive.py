@@ -167,9 +167,9 @@ class TestLipschitzBound:
         expected = weight * float(np.linalg.eigvalsh(W @ W.T)[-1])
         assert lipschitz_bound(W, weight) == pytest.approx(expected, rel=1e-6)
 
-    def test_start_vector_survives_orthogonal_top_eigenspace(self):
-        # W W^T = [[1, -1], [-1, 1]] has top eigenvector (1, -1)/sqrt(2);
-        # an all-ones start would stall at eigenvalue 0.
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # W W^T = [[1, -1], [-1, 1]] has eigenvalues 2 and 0; the top
+        # eigenvector (1, -1)/sqrt(2) has no component along (1, 1).
         W = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert lipschitz_bound(W, 1.0) == pytest.approx(2.0, rel=1e-7)
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from phcle.datamodel import CooccurrenceMatrix, VocabularyMaps
+from phcle.datamodel import VocabularyMaps
 from phcle.errors import ParseError
 from phcle.ingest import (
     RelationRecord,
     build_cooccurrence,
-    compute_negative_bound,
     hierarchy_to_relations,
     load_attribute_table,
     load_relation_file,
+    negative_bound_values,
     read_attribute_names,
 )
 
@@ -231,32 +231,32 @@ class TestRelationFile:
 class TestNegativeBound:
     def test_single_entry(self):
         # one label, one context, count 2, one negative sample
-        D = CooccurrenceMatrix(values=[[2.0]])
-        Q = compute_negative_bound(D, 1)
-        assert Q.values[0, 0] == 4.0
+        D = np.array([[2.0]])
+        Q = negative_bound_values(D, 1)
+        assert Q[0, 0] == 4.0
 
     def test_two_by_two_against_oracle(self):
-        D = CooccurrenceMatrix(values=[[1.0, 0.0], [1.0, 2.0]])
-        Q = compute_negative_bound(D, 2)
-        expected = negative_bound_oracle(D.values, 2)
-        np.testing.assert_allclose(Q.values, expected, rtol=0, atol=0)
-        assert np.array_equal(Q.values, [[2.0, 1.0], [4.0, 5.0]])
+        D = np.array([[1.0, 0.0], [1.0, 2.0]])
+        Q = negative_bound_values(D, 2)
+        expected = negative_bound_oracle(D, 2)
+        np.testing.assert_allclose(Q, expected, rtol=0, atol=0)
+        assert np.array_equal(Q, [[2.0, 1.0], [4.0, 5.0]])
 
     def test_random_matches_oracle_and_dominates_counts(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
             shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-            D = CooccurrenceMatrix(values=rng.integers(0, 6, size=shape).astype(float))
+            D = rng.integers(0, 6, size=shape).astype(float)
             k = int(rng.integers(0, 12))
-            Q = compute_negative_bound(D, k)
-            np.testing.assert_allclose(Q.values, negative_bound_oracle(D.values, k), rtol=1e-13)
-            assert np.all(Q.values >= D.values)
+            Q = negative_bound_values(D, k)
+            np.testing.assert_allclose(Q, negative_bound_oracle(D, k), rtol=1e-13)
+            assert np.all(Q >= D)
 
     def test_zero_mass_returns_counts(self):
-        D = CooccurrenceMatrix(values=np.zeros((3, 2)))
-        Q = compute_negative_bound(D, 10)
-        assert np.array_equal(Q.values, D.values)
+        D = np.zeros((3, 2))
+        Q = negative_bound_values(D, 10)
+        assert np.array_equal(Q, D)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            compute_negative_bound(CooccurrenceMatrix(values=[[1.0]]), -1)
+            negative_bound_values(np.array([[1.0]]), -1)
