@@ -27,7 +27,7 @@ from .datamodel import (
     save_embeddings,
     save_model,
 )
-from .errors import DivergenceError, ParseError, UnsupportedVersionError
+from .errors import DivergenceError, ParseError, UnsupportedVersionError, naming_undecodable
 from .evaluation import (
     cluster_order,
     correlation_matrix,
@@ -37,6 +37,8 @@ from .evaluation import (
 )
 from .ingest import (
     _accumulate,
+    _batched,
+    _read_counts,
     hierarchy_to_relations,
     load_attribute_table,
     load_hierarchy_file,
@@ -78,7 +80,7 @@ def load_config(path) -> HyperParams:
     default and say so on stderr.
     """
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -123,19 +125,24 @@ def load_config(path) -> HyperParams:
 # Sparse co-occurrence files: one "context<TAB>label<TAB>value" line per entry.
 
 
+# Contexts per write, so that only a slice of the file's text is in memory.
+_WRITE_ROWS = 256
+
+
 def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
     rows, cols = np.nonzero(D)  # row-major order, as the file lists entries
     # Counts repeat a lot, so each distinct value is formatted once.
     distinct, which = np.unique(D[rows, cols], return_inverse=True)
-    texts = [format_float(value) for value in distinct.tolist()]
+    texts = [format_float(value) + "\n" for value in distinct.tolist()]
     contexts = [name + "\t" for name in vocab.contexts]
     labels = [name + "\t" for name in vocab.labels]
-    lines = [
-        contexts[c] + labels[w] + texts[t]
-        for c, w, t in zip(rows.tolist(), cols.tolist(), which.tolist())
-    ]
+    cuts = np.searchsorted(rows, np.arange(0, len(contexts) + _WRITE_ROWS, _WRITE_ROWS)).tolist()
     with _atomic_open(path) as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        for lo, hi in zip(cuts, cuts[1:]):
+            fh.write("".join([
+                contexts[c] + labels[w] + texts[t]
+                for c, w, t in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), which[lo:hi].tolist())
+            ]))
 
 
 def _cooccurrence_lines(path):
@@ -160,7 +167,7 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Sum a co-occurrence file into its vocabulary and counts. A bad line
     raises a :class:`ParseError` naming it; a bad name, or duplicate lines
     whose sum overflows, raise one naming the file."""
-    return _accumulate(_cooccurrence_lines(path), path)
+    return _read_counts(path, _cooccurrence_lines, label_column=1, positive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,8 @@ def cmd_build_cooc(args) -> int:
         )
         # Each ordered pair comes once and every node has a partner, so
         # this sums and names exactly as build_cooccurrence would.
-        vocab, D = _accumulate(((r.context, r.label, r.weight) for r in records), args.hierarchy)
+        entries = ((r.context, r.label, r.weight) for r in records)
+        vocab, D = _accumulate(_batched(entries), args.hierarchy, len(records))
     else:
         vocab, D = load_relation_counts(args.relations)
     write_cooccurrence_tsv(args.out, vocab, D)
@@ -279,7 +287,7 @@ def cmd_retrieve(args) -> int:
 
 def _read_label_list(path) -> list[str]:
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
         for line in fh:
             name = line.strip()
             if name:
@@ -320,7 +328,7 @@ def cmd_correlate(args) -> int:
 
 
 def _read_vector(path, expected_dim: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
         tokens = fh.read().split()
     try:
         values = [float(tok) for tok in tokens]

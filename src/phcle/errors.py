@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ParseError(ValueError):
     """Malformed input file. Carries the offending path and 1-based line number."""
@@ -23,3 +25,13 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration, message):
         self.iteration = iteration
         super().__init__(message)
+
+
+@contextmanager
+def naming_undecodable(path):
+    """Re-raise a ``UnicodeDecodeError`` from the block as a
+    :class:`ParseError` naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path=path) from None

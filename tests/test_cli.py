@@ -412,6 +412,53 @@ class TestBuildCooc:
         assert not out.exists()
 
 
+class TestUndecodableInputs:
+    """An input file holding a byte that is not UTF-8 exits 2 with an
+    error naming the file, and writes nothing."""
+
+    def run(self, capsys, path, argv):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {decode_error(path)}\n"
+
+    def train(self, workspace, capsys, bad):
+        model = workspace / "model.bin"
+        cooc = workspace / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
+        argv = ["train", "--cooc", str(cooc), "--attrs", str(workspace / "attrs.tsv")]
+        self.run(capsys, bad, argv + ["--config", str(workspace / "config"), "--out", str(model)])
+        assert not model.exists()
+
+    def test_hierarchy_file(self, tmp_path, capsys):
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_bytes(b"a\tb\nb\tc\xff\n")
+        out = tmp_path / "cooc.tsv"
+        self.run(capsys, hierarchy, ["build-cooc", "--hierarchy", str(hierarchy), "--out", str(out)])
+        assert not out.exists()
+
+    def test_attribute_table(self, workspace, capsys):
+        attrs = workspace / "attrs.tsv"
+        attrs.write_bytes(ATTRS.encode() + b"d\xffg\t4\t1\n")
+        self.train(workspace, capsys, attrs)
+
+    def test_config_file(self, workspace, capsys):
+        config = workspace / "config"
+        config.write_bytes(FULL_CONFIG.encode() + b"# caf\xe9\n")
+        self.train(workspace, capsys, config)
+
+    def test_label_list(self, workspace, capsys):
+        model = trained_model(workspace)
+        labels = workspace / "labels.txt"
+        labels.write_bytes(b"cat\nd\xffg\n")
+        self.run(capsys, labels, ["correlate", "--model", str(model), "--labels", str(labels)])
+
+    def test_vector_file(self, workspace, capsys):
+        model = trained_model(workspace)
+        vector = workspace / "vec.txt"
+        vector.write_bytes(b"0.5 \xff 1")
+        self.run(capsys, vector, ["describe", "--model", str(model), "--vector", str(vector)])
+
+
 class TestTrainCommand:
     def test_writes_model_and_history(self, workspace, capsys):
         model_path = trained_model(workspace)

@@ -212,6 +212,16 @@ class TestAttributeTable:
         assert ctx.mask.tobytes() == mask.tobytes()
         assert (mask == 0).all(axis=1).sum() == 3
 
+    def test_undecodable_row_past_the_first_read_names_the_file(self, tmp_path):
+        # The header read decodes only the first 8 KB, so this byte is met
+        # by the row loop.
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(b"label\tfurry\tbig\ncat\t1\t2\n" + b"\n" * 10000 + b"d\xffg\t1\t2\n")
+        assert read_attribute_names(path) == ("furry", "big")
+        with pytest.raises(ParseError) as err:
+            load_attribute_table(path, self.vocab())
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position ")
+
 
 class TestRelationFile:
     def test_parse_with_and_without_weight(self, tmp_path):
