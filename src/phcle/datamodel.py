@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedVersionError
+from .errors import ParseError, UnsupportedVersionError, naming_undecodable
 
 _MODEL_MAGIC = b"PHCLE1"
 _MODEL_MAGIC_GENERAL = b"PHCLG1"
@@ -413,7 +413,7 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read the text embedding format back into an ordered name->vector map."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -243,6 +243,14 @@ class TestTextEmbeddings:
             load_embeddings(path)
         assert err.value.line == 3
 
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"1 2\nd\xffg 1 2\n")
+        with pytest.raises(ParseError, match="'utf-8' codec can't decode byte 0xff") as err:
+            load_embeddings(path)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: ")
+
 
 def test_format_float_round_trips():
     rng = np.random.default_rng(9)
