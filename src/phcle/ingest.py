@@ -124,16 +124,26 @@ class _Irregular(Exception):
     """A count file the tokenizer leaves to the line-by-line reader."""
 
 
-def _count_blocks(fh, label_column, positive):
+def _lines_of(fields, width) -> bool:
+    """Whether the separator bytes ``fields`` end lines of ``width`` fields."""
+    return len(fields) % width == 0 and bool(
+        (fields.reshape(-1, width) == (_TAB,) * (width - 1) + (_NEWLINE,)).all()
+    )
+
+
+def _count_blocks(fh, label_column, positive, weight_optional=False):
     """Yield ``(contexts, labels, values)`` column blocks from the binary
     file ``fh`` of ``name<TAB>name<TAB>value`` lines, the label name in
-    field ``label_column``, checking each block as a whole.
+    field ``label_column``, checking each block as a whole. With
+    ``weight_optional`` a file of ``name<TAB>name`` lines is read too, each
+    line with the value 1.0; the first block fixes the field count.
 
     Raises :class:`_Irregular` on anything the line reader judges or
     reads differently: a carriage return, a blank line or another field
     count, an empty field, undecodable UTF-8, a value ``float`` rejects,
     and a value that is not finite and ``> 0`` (``positive``) or ``>= 0``.
     """
+    width = None
     while block := fh.read(_BLOCK_BYTES):
         if not block.endswith(b"\n"):
             block += fh.readline()
@@ -142,10 +152,11 @@ def _count_blocks(fh, label_column, positive):
         buf = np.frombuffer(block, dtype=np.uint8)
         sep = (buf == _TAB) | (buf == _NEWLINE)
         fields = buf[sep]
+        if width is None:
+            width = 2 if weight_optional and _lines_of(fields, 2) else 3
         if (
             (buf == _CR).any()
-            or len(fields) % 3
-            or not (fields.reshape(-1, 3) == (_TAB, _TAB, _NEWLINE)).all()
+            or not _lines_of(fields, width)
             or sep[0]
             or (sep[1:] & sep[:-1]).any()
         ):
@@ -153,20 +164,21 @@ def _count_blocks(fh, label_column, positive):
         try:
             tokens = block.decode("utf-8").replace("\n", "\t").split("\t")
             tokens.pop()  # after the final newline
-            values = np.fromiter(map(float, tokens[2::3]), np.float64, len(tokens) // 3)
+            lines = len(tokens) // width
+            values = np.fromiter(map(float, tokens[2::3]), np.float64, lines) if width == 3 else np.ones(lines)
         except ValueError:  # UnicodeDecodeError included
             raise _Irregular from None
         if not np.isfinite(values).all() or not (values > 0 if positive else values >= 0).all():
             raise _Irregular
-        names = tokens[0::3], tokens[1::3]
+        names = tokens[0::width], tokens[1::width]
         yield names[1 - label_column], names[label_column], values
 
 
-def _read_counts(path, line_entries, label_column, positive):
-    """Sum a 3-field count file with :func:`_count_blocks`; on any
-    irregularity sum ``line_entries(path)`` instead, so every error keeps
-    the text and line the line reader gives it. (An overflowing sum needs
-    no re-read: both paths add the same values in the same order.)"""
+def _read_counts(path, line_entries, label_column, positive, weight_optional=False):
+    """Sum a count file with :func:`_count_blocks`; on any irregularity
+    sum ``line_entries(path)`` instead, so every error keeps the text and
+    line the line reader gives it. (An overflowing sum needs no re-read:
+    both paths add the same values in the same order.)"""
     info = os.stat(path)
     # An entry line has at least three characters and a newline (the last
     # line may lack it), so a regular file never makes the arrays grow.
@@ -174,7 +186,7 @@ def _read_counts(path, line_entries, label_column, positive):
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be read a second time
         with open(path, "rb") as fh:
             try:
-                return _accumulate(_count_blocks(fh, label_column, positive), path, capacity)
+                return _accumulate(_count_blocks(fh, label_column, positive, weight_optional), path, capacity)
             except _Irregular:
                 pass
     return _accumulate(_batched(line_entries(path)), path, capacity)
@@ -263,8 +275,8 @@ def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Read a relation file straight into counts: the vocabulary is the
     sorted label and context names, and repeated pairs add up in file
     order, as :func:`build_cooccurrence` on :func:`load_relation_file`
-    would give."""
-    return _read_counts(path, _relation_lines, label_column=0, positive=True)
+    would give. Lines without a weight count 1.0."""
+    return _read_counts(path, _relation_lines, label_column=0, positive=True, weight_optional=True)
 
 
 def load_hierarchy_file(path) -> list[tuple[str, str]]:

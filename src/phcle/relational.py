@@ -16,8 +16,16 @@ the matmuls. The gradients therefore take the sigmoid through the identity
     sigmoid(x) = (1 + tanh(x / 2)) / 2
 
 evaluated in place, and they build the residual ``E - D`` in the same single
-dense temporary. The objective likewise computes softplus in place with one
-temporary next to the scores.
+dense temporary. The objective likewise computes softplus in place.
+
+Each matmul runs whole, but the elementwise passes run over row blocks of
+about 256 KB (``max(1, 2**18 // (8 * labels))`` rows): a block fits in the
+L2 cache, so its later passes read it from there, where passes over the
+whole array would each stream it from memory again. The softplus temporary
+is one block, not a second dense array. Every element still goes through
+the same operations in the same order, and the matmuls and the objective's
+dot products still run over whole arrays, so the blocks change no bit of a
+gradient or an objective.
 
 ``expected_cooccurrence`` is not on the training path, so it keeps the
 ``1 / (1 + exp(-x))`` form, which holds its relative accuracy where the
@@ -30,21 +38,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def _softplus_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite the float array ``x`` with softplus(x); one temporary."""
-    t = np.empty_like(x)
-    np.abs(x, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    np.maximum(x, 0.0, out=x)
-    x += t
-    return x
+# Bytes of one row block of the elementwise passes: a block stays in the
+# L2 cache from its first pass to its last.
+_ROW_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(X: np.ndarray) -> int:
+    """Rows of ``X`` in one ~256 KB block, at least one."""
+    return max(1, _ROW_BLOCK_BYTES // max(1, X[:1].nbytes))
+
+
+def _softplus_inplace(X: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``X`` (at least 1-D) with softplus(X), one
+    row block at a time; one block-sized temporary."""
+    rows = _block_rows(X)
+    t = np.empty_like(X[:rows])
+    for start in range(0, len(X), rows):
+        x = X[start : start + rows]
+        tb = t[: len(x)]
+        np.abs(x, out=tb)
+        np.negative(tb, out=tb)
+        np.exp(tb, out=tb)
+        np.log1p(tb, out=tb)
+        np.maximum(x, 0.0, out=x)
+        x += tb
+    return X
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + e^x) computed without overflow for large |x|."""
-    return _softplus_inplace(np.array(x, dtype=np.float64))
+    out = np.array(x, dtype=np.float64)
+    _softplus_inplace(np.atleast_2d(out))
+    return out
 
 
 def _check_pair_shapes(D, Q, C, W):
@@ -110,11 +135,14 @@ def _residual(D, Q, C, W) -> np.ndarray:
     """``E - D`` with ``E = Q * sigmoid(C^T W)``, built in one array."""
     # Halving C is exact, so T starts as X / 2 bit for bit.
     T = (0.5 * C).T @ W
-    np.tanh(T, out=T)
-    T += 1.0
-    T *= Q
-    T *= 0.5
-    T -= D
+    rows = _block_rows(T)
+    for start in range(0, len(T), rows):
+        t = T[start : start + rows]
+        np.tanh(t, out=t)
+        t += 1.0
+        t *= Q[start : start + rows]
+        t *= 0.5
+        t -= D[start : start + rows]
     return T
 
 

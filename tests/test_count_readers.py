@@ -312,3 +312,37 @@ def test_overflowing_sum_is_reported_without_a_reread(tmp_path, line_readers_for
     with pytest.raises(ParseError) as err:
         read_cooccurrence_tsv(path)
     assert str(err.value) == f"{path}: cooccurrence matrix contains non-finite entries"
+
+
+WEIGHTLESS = "".join(f"l{i % 11}\tc{i % 7}\n" for i in range(200)) + "l0\tc\u00fc"  # no final newline
+
+
+@pytest.mark.parametrize("block", [1, 64, ingest._BLOCK_BYTES], ids=["line per block", "small blocks", "one block"])
+def test_weightless_relations_take_the_block_path(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    relations = tmp_path / "rel.tsv"
+    relations.write_text(WEIGHTLESS, encoding="utf-8")
+    outputs = []
+    for reader in ("blocks", "lines"):
+        with monkeypatch.context() as patch:
+            if reader == "blocks":
+                patch.setattr(ingest, "_relation_lines", _raise)
+            else:
+                patch.setattr(ingest, "_count_blocks", mock.Mock(side_effect=ingest._Irregular))
+            out = tmp_path / f"{reader}.tsv"
+            assert cli.main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert_same_as_reference(relations, load_relation_counts, reference_relations)
+
+
+def test_weightless_cooccurrence_lines_take_the_line_path(tmp_path, monkeypatch):
+    path = tmp_path / "cooc.tsv"
+    path.write_text(WEIGHTLESS, encoding="utf-8")
+    calls = []
+    line_reader = cli._cooccurrence_lines
+    monkeypatch.setattr(cli, "_cooccurrence_lines", lambda path: calls.append(path) or line_reader(path))
+    with pytest.raises(ParseError) as err:
+        read_cooccurrence_tsv(path)
+    assert str(err.value) == f"{path}:1: expected 3 tab-separated fields, got 2"
+    assert calls == [path]

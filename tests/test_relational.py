@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from phcle import relational
 from phcle.relational import (
     emf_objective,
     expected_cooccurrence,
@@ -220,3 +222,114 @@ class TestOracles:
             np.array([[0.0]]), np.array([[1e308]]), np.array([[1e154]]), np.array([[1e154]])
         )
         assert val == np.inf
+
+
+# ---------------------------------------------------------------------------
+# The kernels as they were before the row blocks, kept verbatim as
+# references: the blocked passes must give the same bits.
+
+
+def _softplus_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``x`` with softplus(x); one temporary."""
+    t = np.empty_like(x)
+    np.abs(x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(x, 0.0, out=x)
+    x += t
+    return x
+
+
+def _residual(D, Q, C, W) -> np.ndarray:
+    """``E - D`` with ``E = Q * sigmoid(C^T W)``, built in one array."""
+    # Halving C is exact, so T starts as X / 2 bit for bit.
+    T = (0.5 * C).T @ W
+    np.tanh(T, out=T)
+    T += 1.0
+    T *= Q
+    T *= 0.5
+    T -= D
+    return T
+
+
+def unblocked_objective(D, Q, C, W):
+    X = C.T @ W
+    counts_term = np.vdot(D, X)
+    return float(np.vdot(Q, _softplus_inplace(X)) - counts_term)
+
+
+def blocked_instance(rng, contexts, labels, dim=3):
+    """Sparse counts, a bound with zeros, and logits past +-40, where the
+    tanh sigmoid and the softplus exp both saturate."""
+    D = rng.integers(0, 6, size=(contexts, labels)).astype(float)
+    D[rng.random(D.shape) < 0.5] = 0.0
+    Q = D + rng.uniform(0.0, 3.0, size=D.shape)
+    Q[:, 0] = D[:, 0] = 0.0
+    C = rng.standard_normal((dim, contexts)) * 4.0
+    W = rng.standard_normal((dim, labels)) * 4.0
+    return D, Q, C, W
+
+
+# Rows of one 256 KB block at 500 labels.
+LABELS, ROWS = 500, max(1, 2**18 // (8 * 500))
+
+
+class TestRowBlocks:
+    """The row-blocked kernels against the unblocked ones, bit for bit."""
+
+    SHAPES = [(n, LABELS) for n in (1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5)] + [(3, 40000)]
+
+    def test_block_size(self):
+        assert relational._block_rows(np.empty((2, LABELS))) == ROWS
+        assert relational._block_rows(np.empty((3, 40000))) == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_kernels_keep_their_bits(self, shape):
+        D, Q, C, W = blocked_instance(np.random.default_rng(shape[0]), *shape)
+        assert grad_C(D, Q, C, W).tobytes() == (W @ _residual(D, Q, C, W).T).tobytes()
+        assert grad_W_relational(D, Q, C, W).tobytes() == (C @ _residual(D, Q, C, W)).tobytes()
+        assert np.float64(emf_objective(D, Q, C, W)).tobytes() == np.float64(unblocked_objective(D, Q, C, W)).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES + [(0,), (1,), (7,), (0, 5), (4, 0), (2, 3, 40000)])
+    def test_softplus_keeps_its_bits(self, shape):
+        x = np.random.default_rng(len(shape)).standard_normal(shape) * 60.0
+        got = softplus(x)
+        ref = _softplus_inplace(np.array(x, dtype=np.float64))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_softplus_of_a_column_major_array(self):
+        x = np.asfortranarray(np.random.default_rng(2).standard_normal((3 * ROWS + 5, LABELS)) * 60.0)
+        assert softplus(x).tobytes() == _softplus_inplace(np.array(x)).tobytes()
+
+
+def traced_peak(f, *args):
+    """Bytes ``f(*args)`` allocates at its peak, numpy buffers included."""
+    f(*args)  # warm up: first-call caches are not the kernel's memory
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Each kernel holds at most one dense contexts x labels array."""
+
+    CONTEXTS, DIM = 600, 4
+    # Python objects the calls make besides the arrays
+    SLACK = 4096
+
+    def instance(self):
+        return blocked_instance(np.random.default_rng(0), self.CONTEXTS, LABELS, self.DIM)
+
+    def test_objective_holds_one_dense_array_and_one_block(self):
+        dense, block = 8 * self.CONTEXTS * LABELS, 8 * ROWS * LABELS
+        assert traced_peak(emf_objective, *self.instance()) <= dense + block + self.SLACK
+
+    @pytest.mark.parametrize("grad", [grad_C, grad_W_relational])
+    def test_gradient_holds_one_dense_array_and_one_factor(self, grad):
+        # next to the residual: the halved C while it is formed, then the output
+        dense, factor = 8 * self.CONTEXTS * LABELS, 8 * self.DIM * max(self.CONTEXTS, LABELS)
+        assert traced_peak(grad, *self.instance()) <= dense + factor + self.SLACK
