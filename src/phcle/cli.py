@@ -179,15 +179,12 @@ def cmd_build_cooc(args) -> int:
         raise ValueError("--radius/--decay only apply to --hierarchy input")
     if args.hierarchy is not None:
         edges = load_hierarchy_file(args.hierarchy)
-        records = hierarchy_to_relations(
+        relations = hierarchy_to_relations(
             edges,
             radius=args.radius if args.radius is not None else 2,
             decay=args.decay if args.decay is not None else 0.5,
         )
-        # Each ordered pair comes once and every node has a partner, so
-        # this sums and names exactly as build_cooccurrence would.
-        entries = ((r.context, r.label, r.weight) for r in records)
-        vocab, D = _accumulate(_batched(entries), args.hierarchy, len(records))
+        vocab, D = _accumulate(_batched(relations), args.hierarchy, len(relations))
     else:
         vocab, D = load_relation_counts(args.relations)
     write_cooccurrence_tsv(args.out, vocab, D)

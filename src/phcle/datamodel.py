@@ -15,8 +15,8 @@ One model type covers every run: :class:`EmbeddingModel` holds the shared
 context, and :class:`VocabularyMaps` holds the matching name lists. The
 classic model is the case with one context of each kind; its ``C``/``U``
 and ``contexts``/``attributes`` views, and the ``PHCLE1`` file format,
-serve that case. ``GeneralizedEmbeddingModel`` and
-``GeneralizedVocabulary`` are other names for the same two classes.
+serve that case. ``GeneralizedVocabulary`` is another name for
+:class:`VocabularyMaps`.
 
 All value objects are immutable after construction: array payloads are
 copied to C-ordered float64 and marked read-only.
@@ -164,19 +164,6 @@ class VocabularyMaps:
 
 
 @dataclass(frozen=True, eq=False)
-class CooccurrenceMatrix:
-    """Label/context co-occurrence counts, ``contexts x labels``, >= 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values, "cooccurrence matrix")
-        if (arr < 0).any():
-            raise ValueError("cooccurrence matrix contains negative entries")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class AttributeContext:
     """Attribute associations with a binary observation mask.
 
@@ -260,7 +247,6 @@ class EmbeddingModel:
                 raise ValueError(f"factor {name} has {arr.shape[1]} columns, vocabulary has {len(names)} {kind}")
 
 
-GeneralizedEmbeddingModel = EmbeddingModel
 GeneralizedVocabulary = VocabularyMaps
 
 
@@ -365,28 +351,6 @@ def _draw_factors(scheme, seed, dim, n_labels, context_counts, attribute_counts)
 
     W = draw(n_labels)
     return W, [draw(n) for n in context_counts], [draw(n) for n in attribute_counts]
-
-
-def init_model(
-    vocab: VocabularyMaps,
-    dim: int,
-    scheme: str = DEFAULT_INIT_SCHEME,
-    seed: int = 0,
-) -> EmbeddingModel:
-    """Deterministically initialize every factor.
-
-    ``uniform_random(s)`` draws i.i.d. uniform entries from [-s, s] with a
-    seeded generator; the draw order is W, then each C, then each U, so
-    identical inputs always produce bitwise-identical models.
-    """
-    if dim < 1:
-        raise ValueError("embedding dimension must be >= 1")
-    if not vocab.labels or not vocab.context_lists or not all(vocab.context_lists):
-        raise ValueError("vocabulary must contain at least one label and one context")
-    W, Cs, Us = _draw_factors(
-        scheme, seed, dim, len(vocab.labels), map(len, vocab.context_lists), map(len, vocab.attribute_lists)
-    )
-    return EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
 
 
 # ---------------------------------------------------------------------------

@@ -231,12 +231,6 @@ def _add_penalties(misfit, U, lambda2, lambda3) -> float:
     return misfit + 0.5 * lambda3 * float(np.sum(U * U)) + lambda2 * float(np.sum(np.abs(U)))
 
 
-def elastic_net_objective(A, I, W, U, weight, lambda2, lambda3) -> float:
-    """Full subproblem value: masked misfit plus both penalties on U."""
-    U = np.asarray(U, dtype=np.float64)
-    return _add_penalties(descriptive_objective(A, I, W, U, weight), U, lambda2, lambda3)
-
-
 def fista_solve_U(A, I, W, U_init, hyper):
     """Minimize the descriptive loss plus elastic-net penalties over U.
 

@@ -13,19 +13,6 @@ from .datamodel import format_float
 NORM_FLOOR = 1e-12
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors; 0 if either is (near) zero."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError(f"vectors of length {u.size} and {v.size}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < NORM_FLOOR or nv < NORM_FLOOR:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
 def _edit_distance(a: str, b: str) -> int:
     # Classic two-row Levenshtein.
     if len(a) < len(b):
@@ -45,7 +32,7 @@ def _unknown_label_error(name: str, candidates) -> ValueError:
     return ValueError(f"label {name!r} unknown; nearest names: {hint}")
 
 
-def _label_column(model, vocab, name):
+def _label_column(vocab, name):
     try:
         return vocab.label_index(name)
     except ValueError:
@@ -68,7 +55,7 @@ def retrieve_labels(model, vocab, query: str, topk: int = 5) -> list[tuple[str, 
     sorted by descending cosine with ties broken by vocabulary order."""
     if topk < 0:
         raise ValueError("topk must be >= 0")
-    qi = _label_column(model, vocab, query)
+    qi = _label_column(vocab, query)
     sims = _column_similarities(model.W, model.W[:, qi])
     order = sorted(
         (j for j in range(len(vocab.labels)) if j != qi),
@@ -81,11 +68,11 @@ def correlation_matrix(model, vocab, subset) -> np.ndarray:
     """Pairwise cosine similarities between the given labels' vectors.
 
     Exactly symmetric, with a unit diagonal wherever the vector norm is
-    nonzero (zero vectors give zero rows, matching
-    :func:`cosine_similarity`).
+    nonzero; a vector shorter than ``NORM_FLOOR`` counts as zero and gets
+    a zero row.
     """
     subset = list(subset)
-    idx = [_label_column(model, vocab, name) for name in subset]
+    idx = [_label_column(vocab, name) for name in subset]
     cols = model.W[:, idx] if idx else np.zeros((model.dim, 0))
     norms = np.linalg.norm(cols, axis=0)
     ok = norms >= NORM_FLOOR

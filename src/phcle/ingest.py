@@ -7,24 +7,11 @@ import math
 import os
 import stat
 from collections import defaultdict, deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import AttributeContext, CooccurrenceMatrix, VocabularyMaps
+from .datamodel import AttributeContext, VocabularyMaps
 from .errors import ParseError, naming_undecodable
-
-
-@dataclass(frozen=True)
-class RelationRecord:
-    """One observed (label, context) pair with a positive weight."""
-
-    label: str
-    context: str
-    weight: float = 1.0
-
-    def __post_init__(self):
-        _check_relation(self.label, self.context, self.weight)
 
 
 def _check_relation(label: str, context: str, weight: float) -> None:
@@ -35,23 +22,6 @@ def _check_relation(label: str, context: str, weight: float) -> None:
             f"relation weight must be a positive finite number, got {weight!r} "
             f"for {label!r} -> {context!r}"
         )
-
-
-def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
-    """Accumulate record weights into a contexts x labels count matrix.
-
-    Repeated (label, context) pairs add up. Any name missing from the
-    vocabulary is an error identifying the offending record.
-    """
-    D = np.zeros((len(vocab.contexts), len(vocab.labels)))
-    for rec in records:
-        try:
-            w = vocab.label_index(rec.label)
-            c = vocab.context_index(rec.context)
-        except ValueError as exc:
-            raise ValueError(f"{exc} (record {rec.label!r} -> {rec.context!r})") from None
-        D[c, w] += rec.weight
-    return CooccurrenceMatrix(values=D)
 
 
 def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
@@ -192,12 +162,14 @@ def _read_counts(path, line_entries, label_column, positive, weight_optional=Fal
     return _accumulate(_batched(line_entries(path)), path, capacity)
 
 
-def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[RelationRecord]:
-    """Expand a label hierarchy into weighted relation records.
+def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[tuple[str, str, float]]:
+    """Expand a label hierarchy into weighted ``(context, label, weight)``
+    tuples.
 
     Every ordered pair of distinct labels within ``radius`` undirected hops
-    becomes a record with weight ``decay ** (distance - 1)``, so direct
-    neighbors get weight 1 and each extra hop multiplies by ``decay``.
+    comes once, with weight ``decay ** (distance - 1)``, so direct
+    neighbors get weight 1 and each extra hop multiplies by ``decay``. A
+    weight that underflows to 0 raises ``ValueError``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -223,7 +195,7 @@ def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[R
         adjacency[p].add(c)
         adjacency[c].add(p)
 
-    records: list[RelationRecord] = []
+    relations: list[tuple[str, str, float]] = []
     for src in range(len(nodes)):
         dist = {src: 0}
         frontier = deque([src])
@@ -236,10 +208,10 @@ def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[R
                     dist[nxt] = dist[node] + 1
                     frontier.append(nxt)
         for tgt in sorted(t for t in dist if t != src):
-            records.append(
-                RelationRecord(nodes[src], nodes[tgt], decay ** (dist[tgt] - 1))
-            )
-    return records
+            weight = decay ** (dist[tgt] - 1)
+            _check_relation(nodes[src], nodes[tgt], weight)
+            relations.append((nodes[tgt], nodes[src], weight))
+    return relations
 
 
 def _relation_lines(path):
@@ -266,16 +238,10 @@ def _relation_lines(path):
             yield parts[1], parts[0], weight
 
 
-def load_relation_file(path) -> list[RelationRecord]:
-    """Read tab-separated relation lines: label, context, optional weight."""
-    return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(path)]
-
-
 def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Read a relation file straight into counts: the vocabulary is the
     sorted label and context names, and repeated pairs add up in file
-    order, as :func:`build_cooccurrence` on :func:`load_relation_file`
-    would give. Lines without a weight count 1.0."""
+    order. Lines without a weight count 1.0."""
     return _read_counts(path, _relation_lines, label_column=0, positive=True, weight_optional=True)
 
 

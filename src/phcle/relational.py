@@ -26,11 +26,6 @@ is one block, not a second dense array. Every element still goes through
 the same operations in the same order, and the matmuls and the objective's
 dot products still run over whole arrays, so the blocks change no bit of a
 gradient or an objective.
-
-``expected_cooccurrence`` is not on the training path, so it keeps the
-``1 / (1 + exp(-x))`` form, which holds its relative accuracy where the
-sigmoid is tiny: ``(1 + tanh(x / 2)) / 2`` rounds to 0 near x = -40, where
-the sigmoid is about 4.2e-18.
 """
 
 from __future__ import annotations
@@ -63,13 +58,6 @@ def _softplus_inplace(X: np.ndarray) -> np.ndarray:
         np.maximum(x, 0.0, out=x)
         x += tb
     return X
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) computed without overflow for large |x|."""
-    out = np.array(x, dtype=np.float64)
-    _softplus_inplace(np.atleast_2d(out))
-    return out
 
 
 def _check_pair_shapes(D, Q, C, W):
@@ -114,21 +102,6 @@ def emf_objective(D, Q, C, W) -> float:
     if not np.isfinite(value):
         _require_finite(D, Q, C, W)
     return value
-
-
-def expected_cooccurrence(Q, C, W) -> np.ndarray:
-    """Expected counts ``Q * sigmoid(C^T W)`` under the current factors."""
-    Q = np.asarray(Q, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if Q.shape != (C.shape[1], W.shape[1]) or C.shape[0] != W.shape[0]:
-        raise ValueError(
-            f"bound shaped {Q.shape} needs C with {Q.shape[0]} columns and W with {Q.shape[1]} columns"
-        )
-    # exp(-X) overflows to inf for X below about -709, which gives the
-    # correct limit 0.
-    with np.errstate(over="ignore"):
-        return Q * (1.0 / (1.0 + np.exp(-(C.T @ W))))
 
 
 def _residual(D, Q, C, W) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .datamodel import (
     AttributeContext,
-    CooccurrenceMatrix,
     EmbeddingModel,
     HyperParams,
     VocabularyMaps,
@@ -78,12 +77,6 @@ class TrainingHistory:
                 )
             )
         return "\n".join(rows) + "\n"
-
-
-def _values(x):
-    if isinstance(x, CooccurrenceMatrix):
-        return np.asarray(x.values, dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
 
 
 class _RelationalBlock:
@@ -198,7 +191,7 @@ def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
     Returns ``(EmbeddingModel, TrainingHistory)``. The descriptive loss is
     weighted by ``hyper.lambda1``.
     """
-    D_arr = _values(D)
+    D_arr = np.asarray(D, dtype=np.float64)
     A_arr, I_arr = np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64)
     if D_arr.shape != (len(vocab.contexts), len(vocab.labels)):
         raise ValueError(
@@ -233,7 +226,7 @@ def train_generalized(Ds, As_with_masks, hyper: HyperParams):
 
     Returns ``(EmbeddingModel, TrainingHistory)``.
     """
-    Ds = [_values(D) for D in Ds]
+    Ds = [np.asarray(D, dtype=np.float64) for D in Ds]
     pairs = [_unpack_descriptive(item) for item in As_with_masks]
     if not Ds:
         raise ValueError("need at least one relational context")

@@ -1,0 +1,161 @@
+"""Reference code the tests use as oracles.
+
+No command of ``phcle`` calls these, so they are not part of the package:
+each is kept here as it was written there, next to the private helpers of
+``phcle`` it is built on, and the tests check the shipped code against it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from phcle.datamodel import (
+    DEFAULT_INIT_SCHEME,
+    EmbeddingModel,
+    VocabularyMaps,
+    _draw_factors,
+    _frozen_array,
+)
+from phcle.descriptive import _add_penalties, descriptive_objective
+from phcle.evaluation import NORM_FLOOR
+from phcle.ingest import _check_relation, _relation_lines
+from phcle.relational import _softplus_inplace
+
+# ---------------------------------------------------------------------------
+# datamodel
+
+
+@dataclass(frozen=True, eq=False)
+class CooccurrenceMatrix:
+    """Label/context co-occurrence counts, ``contexts x labels``, >= 0."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        arr = _frozen_array(self.values, "cooccurrence matrix")
+        if (arr < 0).any():
+            raise ValueError("cooccurrence matrix contains negative entries")
+        object.__setattr__(self, "values", arr)
+
+
+GeneralizedEmbeddingModel = EmbeddingModel
+
+
+def init_model(
+    vocab: VocabularyMaps,
+    dim: int,
+    scheme: str = DEFAULT_INIT_SCHEME,
+    seed: int = 0,
+) -> EmbeddingModel:
+    """Deterministically initialize every factor.
+
+    ``uniform_random(s)`` draws i.i.d. uniform entries from [-s, s] with a
+    seeded generator; the draw order is W, then each C, then each U, so
+    identical inputs always produce bitwise-identical models.
+    """
+    if dim < 1:
+        raise ValueError("embedding dimension must be >= 1")
+    if not vocab.labels or not vocab.context_lists or not all(vocab.context_lists):
+        raise ValueError("vocabulary must contain at least one label and one context")
+    W, Cs, Us = _draw_factors(
+        scheme, seed, dim, len(vocab.labels), map(len, vocab.context_lists), map(len, vocab.attribute_lists)
+    )
+    return EmbeddingModel(W=W, Cs=tuple(Cs), Us=tuple(Us), dim=dim)
+
+
+# ---------------------------------------------------------------------------
+# ingest
+
+
+@dataclass(frozen=True)
+class RelationRecord:
+    """One observed (label, context) pair with a positive weight."""
+
+    label: str
+    context: str
+    weight: float = 1.0
+
+    def __post_init__(self):
+        _check_relation(self.label, self.context, self.weight)
+
+
+def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
+    """Accumulate record weights into a contexts x labels count matrix.
+
+    Repeated (label, context) pairs add up. Any name missing from the
+    vocabulary is an error identifying the offending record.
+    """
+    D = np.zeros((len(vocab.contexts), len(vocab.labels)))
+    for rec in records:
+        try:
+            w = vocab.label_index(rec.label)
+            c = vocab.context_index(rec.context)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (record {rec.label!r} -> {rec.context!r})") from None
+        D[c, w] += rec.weight
+    return CooccurrenceMatrix(values=D)
+
+
+def load_relation_file(path) -> list[RelationRecord]:
+    """Read tab-separated relation lines: label, context, optional weight."""
+    return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(path)]
+
+
+# ---------------------------------------------------------------------------
+# relational
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) computed without overflow for large |x|."""
+    out = np.array(x, dtype=np.float64)
+    _softplus_inplace(np.atleast_2d(out))
+    return out
+
+
+def expected_cooccurrence(Q, C, W) -> np.ndarray:
+    """Expected counts ``Q * sigmoid(C^T W)`` under the current factors.
+
+    It keeps the ``1 / (1 + exp(-x))`` form, which holds its relative
+    accuracy where the sigmoid is tiny: ``(1 + tanh(x / 2)) / 2`` rounds to
+    0 near x = -40, where the sigmoid is about 4.2e-18.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if Q.shape != (C.shape[1], W.shape[1]) or C.shape[0] != W.shape[0]:
+        raise ValueError(
+            f"bound shaped {Q.shape} needs C with {Q.shape[0]} columns and W with {Q.shape[1]} columns"
+        )
+    # exp(-X) overflows to inf for X below about -709, which gives the
+    # correct limit 0.
+    with np.errstate(over="ignore"):
+        return Q * (1.0 / (1.0 + np.exp(-(C.T @ W))))
+
+
+# ---------------------------------------------------------------------------
+# descriptive
+
+
+def elastic_net_objective(A, I, W, U, weight, lambda2, lambda3) -> float:
+    """Full subproblem value: masked misfit plus both penalties on U."""
+    U = np.asarray(U, dtype=np.float64)
+    return _add_penalties(descriptive_objective(A, I, W, U, weight), U, lambda2, lambda3)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def cosine_similarity(u, v) -> float:
+    """Cosine of the angle between two vectors; 0 if either is (near) zero."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if u.shape != v.shape:
+        raise ValueError(f"vectors of length {u.size} and {v.size}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu < NORM_FLOOR or nv < NORM_FLOOR:
+        return 0.0
+    return float(u @ v) / (nu * nv)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -23,13 +24,14 @@ from phcle.datamodel import (
     load_model,
 )
 from phcle.errors import ParseError
-from phcle.ingest import build_cooccurrence, hierarchy_to_relations, load_relation_file
+from phcle.ingest import hierarchy_to_relations
 from phcle.evaluation import (
     correlation_matrix,
     correlation_to_tsv,
     describe_embedding,
     retrieve_labels,
 )
+from reference import RelationRecord, build_cooccurrence, load_relation_file
 
 RELATIONS = "cat\tfarm\ncat\tfarm\ncow\tfarm\t2\ndog\thome\ncat\thome\t0.5\n"
 ATTRS = "label\tlegs\ttail\ncat\t4\t1\ncow\t4\tNA\n"
@@ -274,6 +276,20 @@ class TestBuildCooc:
         assert vocab.labels == vocab.contexts == ("a", "b", "c")
         np.testing.assert_array_equal(D, [[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]])
 
+    def test_hierarchy_weight_that_underflows_is_rejected(self, tmp_path, capsys):
+        # a-b-c-d at decay 1e-200: a -> c weighs 1e-200, a -> d underflows to 0.0
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_text("a\tb\nb\tc\nc\td\n")
+        out = tmp_path / "cooc.tsv"
+        argv = ["build-cooc", "--hierarchy", str(hierarchy), "--radius", "3", "--decay", "1e-200"]
+        assert main([*argv, "--out", str(out)]) == 2
+        message = "relation weight must be a positive finite number, got 0.0 for 'a' -> 'd'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ValueError) as err:
+            hierarchy_to_relations([("a", "b"), ("b", "c"), ("c", "d")], radius=3, decay=1e-200)
+        assert str(err.value) == message
+
     def test_sources_are_mutually_exclusive(self, workspace, capsys):
         code = main(
             [
@@ -358,7 +374,11 @@ class TestBuildCooc:
         # written by visiting every cell
         names = tuple(sorted({name for edge in edges for name in edge}))
         vocab = VocabularyMaps(labels=names, context_lists=(names,))
-        D = build_cooccurrence(hierarchy_to_relations(edges, radius=radius, decay=decay), vocab).values
+        records = [
+            RelationRecord(label, context, weight)
+            for context, label, weight in hierarchy_to_relations(edges, radius=radius, decay=decay)
+        ]
+        D = build_cooccurrence(records, vocab).values
         expected = [
             f"{context}\t{label}\t{format_float(D[c, w])}"
             for c, context in enumerate(names)
@@ -721,6 +741,35 @@ class TestImports:
         code = "import sys, phcle, phcle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    # What the CLI and tests/test_acceptance.py use; nothing more is promised.
+    PUBLIC = {
+        "AttributeContext", "DivergenceError", "EmbeddingDescription", "EmbeddingModel",
+        "GeneralizedVocabulary", "HistoryRecord", "HyperParams", "ParseError", "TrainingHistory",
+        "UnsupportedVersionError", "VocabularyMaps", "cluster_order", "correlation_matrix",
+        "describe_embedding", "hierarchy_to_relations", "load_attribute_table", "load_embeddings",
+        "load_model", "retrieve_labels", "save_embeddings", "save_model", "train", "train_generalized",
+    }
+    # Reference code the tests keep in tests/reference.py, by former module.
+    MOVED = {
+        "datamodel": ("CooccurrenceMatrix", "GeneralizedEmbeddingModel", "init_model"),
+        "ingest": ("RelationRecord", "build_cooccurrence", "load_relation_file"),
+        "relational": ("softplus", "expected_cooccurrence"),
+        "descriptive": ("elastic_net_objective",),
+        "evaluation": ("cosine_similarity",),
+    }
+
+    def test_public_surface(self):
+        assert len(phcle.__all__) == len(self.PUBLIC)
+        assert set(phcle.__all__) == self.PUBLIC
+        assert [name for name in phcle.__all__ if not hasattr(phcle, name)] == []
+
+    @pytest.mark.parametrize("module", sorted(MOVED))
+    def test_reference_code_is_not_shipped(self, module):
+        layer = importlib.import_module(f"phcle.{module}")
+        for name in self.MOVED[module]:
+            assert not hasattr(layer, name)
+            assert not hasattr(phcle, name)
 
 
 class TestSharedAttributeNames:

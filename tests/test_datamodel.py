@@ -9,15 +9,12 @@ import pytest
 from phcle.cli import main
 from phcle.datamodel import (
     AttributeContext,
-    CooccurrenceMatrix,
     EmbeddingModel,
-    GeneralizedEmbeddingModel,
     GeneralizedVocabulary,
     HyperParams,
     VocabularyMaps,
     _atomic_open,
     format_float,
-    init_model,
     load_embeddings,
     load_model,
     parse_init_scheme,
@@ -25,6 +22,7 @@ from phcle.datamodel import (
     save_model,
 )
 from phcle.errors import ParseError, UnsupportedVersionError
+from reference import CooccurrenceMatrix, GeneralizedEmbeddingModel, init_model
 
 
 def small_vocab():

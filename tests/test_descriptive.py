@@ -12,7 +12,6 @@ from phcle.descriptive import (
     LIPSCHITZ_FLOOR,
     DescriptiveBlock,
     descriptive_objective,
-    elastic_net_objective,
     fista_solve_U,
     grad_U_smooth,
     grad_W_descriptive,
@@ -20,6 +19,7 @@ from phcle.descriptive import (
     prox_elastic_net,
 )
 from phcle.errors import DivergenceError
+from reference import elastic_net_objective
 
 
 def numeric_grad(f, X, h=1e-6):

