@@ -87,11 +87,17 @@ def _batched(entries, size=4096):
 # next, so small blocks keep reusing the same memory: with 256 KB blocks a
 # 19k-line file left `train` peaking 2.6 MB higher, at no gain in speed.
 _BLOCK_BYTES = 1 << 15
+# Bytes the attribute-table reader reads at a time, one `np.loadtxt` call
+# each. From 64 KB to 1 MB the size moved the parse of the wide benchmark's
+# tables by less than run-to-run noise; a block's text, tokens and values
+# take about ten times its size, which at 256 KB stays below what
+# AttributeContext's checks of a 4000x150 table take.
+_TABLE_BLOCK_BYTES = 1 << 18
 _TAB, _NEWLINE, _CR = 9, 10, 13
 
 
 class _Irregular(Exception):
-    """A count file the tokenizer leaves to the line-by-line reader."""
+    """A file the block readers leave to the line-by-line reader."""
 
 
 def _lines_of(fields, width) -> bool:
@@ -99,6 +105,32 @@ def _lines_of(fields, width) -> bool:
     return len(fields) % width == 0 and bool(
         (fields.reshape(-1, width) == (_TAB,) * (width - 1) + (_NEWLINE,)).all()
     )
+
+
+def _line_blocks(fh, size):
+    """Yield the binary file ``fh`` in blocks of ``size`` bytes completed
+    to the end of their last line, a missing final newline added."""
+    while block := fh.read(size):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+            if not block.endswith(b"\n"):
+                block += b"\n"
+        yield block
+
+
+def _separators(buf, widths):
+    """Return the positions of the tab and newline bytes in the block
+    ``buf`` (a uint8 array ending in a newline) and the first of
+    ``widths`` whose lines it holds: lines of that many non-empty
+    tab-separated fields. Raises :class:`_Irregular` if no width fits, or
+    on a carriage return."""
+    at = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))
+    if not ((buf == _CR).any() or at[0] == 0 or (np.diff(at) == 1).any()):
+        fields = buf[at]
+        for width in widths:
+            if _lines_of(fields, width):
+                return at, width
+    raise _Irregular
 
 
 def _count_blocks(fh, label_column, positive, weight_optional=False):
@@ -113,24 +145,10 @@ def _count_blocks(fh, label_column, positive, weight_optional=False):
     count, an empty field, undecodable UTF-8, a value ``float`` rejects,
     and a value that is not finite and ``> 0`` (``positive``) or ``>= 0``.
     """
-    width = None
-    while block := fh.read(_BLOCK_BYTES):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-            if not block.endswith(b"\n"):
-                block += b"\n"
-        buf = np.frombuffer(block, dtype=np.uint8)
-        sep = (buf == _TAB) | (buf == _NEWLINE)
-        fields = buf[sep]
-        if width is None:
-            width = 2 if weight_optional and _lines_of(fields, 2) else 3
-        if (
-            (buf == _CR).any()
-            or not _lines_of(fields, width)
-            or sep[0]
-            or (sep[1:] & sep[:-1]).any()
-        ):
-            raise _Irregular
+    widths = (2, 3) if weight_optional else (3,)
+    for block in _line_blocks(fh, _BLOCK_BYTES):
+        _, width = _separators(np.frombuffer(block, dtype=np.uint8), widths)
+        widths = (width,)
         try:
             tokens = block.decode("utf-8").replace("\n", "\t").split("\t")
             tokens.pop()  # after the final newline
@@ -283,20 +301,10 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
-    """Read a tab-separated attribute table into an association + mask pair.
-
-    The header is ``label`` followed by the attribute names, which must
-    match the vocabulary. A cell of ``NA`` marks an unobserved entry;
-    labels in the vocabulary without a row come back fully masked.
-    """
-    names = read_attribute_names(path)
-    if names != vocab.attributes:
-        raise ValueError(
-            f"attribute columns in {path} do not match the vocabulary "
-            f"({len(names)} columns vs {len(vocab.attributes)} attributes)"
-        )
-    m = len(names)
+def _table_lines(path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the rows of an attribute table of ``m`` attributes line by
+    line into ``(assoc, mask)``; a bad line raises a :class:`ParseError`
+    naming it."""
     A = np.zeros((len(vocab.labels), m))
     mask = np.zeros((len(vocab.labels), m))
     row_lines: dict[int, int] = {}
@@ -332,7 +340,100 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
         cells = line.rstrip("\n").split("\t")[1:]
         cell = next(cell for cell in cells if cell != "NA" and not math.isfinite(float(cell)))
         raise ParseError(f"non-finite cell {cell!r}", path=path, line=lineno)
-    return AttributeContext(assoc=A, mask=mask)
+    return A, mask
+
+
+def _table_block(block, vocab: VocabularyMaps, A, mask) -> np.ndarray:
+    """Parse a block of whole attribute-table lines into the rows of ``A``
+    and ``mask`` they name, and return those row indices. Each exact
+    ``NA`` cell becomes `` 0`` first (two bytes for two, so the separators
+    stay put) and is marked unobserved; the labels are looked up in Python
+    and the cells parsed by one ``np.loadtxt``, which rounds each value as
+    ``float`` does.
+
+    Raises :class:`_Irregular` on anything the line reader judges or
+    reads differently: a carriage return, a blank line or another field
+    count, an empty field, undecodable UTF-8, a byte 0x1c-0x1f (white
+    space to ``loadtxt`` but not to ``float``), a cell ``loadtxt``
+    rejects (``1_0``, ``١``, ``NA ``), a value that is not finite, and an
+    unknown label.
+    """
+    data = bytearray(block)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends, width = _separators(buf, (A.shape[1] + 1,))
+    if ((buf & 0xFC) == 0x1C).any():
+        raise _Irregular
+    # Cell c of the block ends at ends[c]; an exact NA cell holds the two
+    # bytes after a separator, and is no label (c % width == 0).
+    cells = np.flatnonzero(np.diff(ends) == 3) + 1
+    cells = cells[cells % width != 0]
+    na = ends[cells - 1] + 1
+    exact = (buf[na] == ord("N")) & (buf[na + 1] == ord("A"))
+    cells, na = cells[exact], na[exact]
+    buf[na] = ord(" ")
+    buf[na + 1] = ord("0")
+    try:
+        lines = data.decode("utf-8").split("\n")
+        lines.pop()  # after the final newline
+        rows = np.fromiter((vocab.label_index(line.partition("\t")[0]) for line in lines), np.intp, len(lines))
+        values = np.loadtxt(lines, delimiter="\t", usecols=range(1, width), comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError and an unknown label included
+        raise _Irregular from None
+    if not np.isfinite(values).all():
+        raise _Irregular
+    A[rows] = values
+    mask[rows] = 1.0
+    mask[rows[cells // width], cells % width - 1] = 0.0
+    return rows
+
+
+def _table_blocks(fh, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the rows of an attribute table of ``m`` attributes from the
+    binary file ``fh``, past its header, into ``(assoc, mask)``, a block
+    of lines at a time (:func:`_table_block`, whose temporaries are freed
+    before the next block is read). Raises :class:`_Irregular` where that
+    does, and on a repeated label."""
+    A = np.zeros((len(vocab.labels), m))
+    mask = np.zeros((len(vocab.labels), m))
+    seen = np.zeros(len(vocab.labels), dtype=bool)
+    rows_read = 0
+    for block in _line_blocks(fh, _TABLE_BLOCK_BYTES):
+        rows = _table_block(block, vocab, A, mask)
+        seen[rows] = True
+        rows_read += len(rows)
+        if np.count_nonzero(seen) != rows_read:
+            raise _Irregular
+    return A, mask
+
+
+def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
+    """Read a tab-separated attribute table into an association + mask pair.
+
+    The header is ``label`` followed by the attribute names, which must
+    match the vocabulary. A cell of ``NA`` marks an unobserved entry;
+    labels in the vocabulary without a row come back fully masked.
+
+    A regular file is read with :func:`_table_blocks`; on any
+    irregularity it is read again with :func:`_table_lines`, so every
+    error keeps the text and line the line reader gives it.
+    """
+    names = read_attribute_names(path)
+    if names != vocab.attributes:
+        raise ValueError(
+            f"attribute columns in {path} do not match the vocabulary "
+            f"({len(names)} columns vs {len(vocab.attributes)} attributes)"
+        )
+    m = len(names)
+    if stat.S_ISREG(os.stat(path).st_mode):  # a pipe cannot be read a second time
+        with open(path, "rb") as fh:
+            try:
+                # The text reader also ends a line at a lone CR, so a
+                # header holding one ends elsewhere for it.
+                if b"\r" not in fh.readline():
+                    return AttributeContext(*_table_blocks(fh, vocab, m))
+            except _Irregular:
+                pass
+    return AttributeContext(*_table_lines(path, vocab, m))
 
 
 def negative_bound_values(D: np.ndarray, negative_samples: int) -> np.ndarray:

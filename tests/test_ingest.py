@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from phcle import ingest
 from phcle.datamodel import VocabularyMaps
 from phcle.errors import ParseError
 from phcle.ingest import (
@@ -219,6 +223,59 @@ class TestAttributeTable:
         with pytest.raises(ParseError) as err:
             load_attribute_table(path, self.vocab())
         assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+class TestAttributeTableBlocks:
+    """Regular tables go through the block reader alone: a silent fall
+    back to the line reader would keep every result and lose the speed."""
+
+    @staticmethod
+    def table(tmp_path, labels, names, values, rng):
+        """A table shaped like the benchmark's: 40% NA cells, a fifth of
+        the labels without a row, and no final newline."""
+        lines = ["\t".join(("label", *names))]
+        for i in np.sort(rng.permutation(len(labels))[: len(labels) * 4 // 5]).tolist():
+            cells = ["NA" if na else repr(v) for v, na in zip(values[i].tolist(), rng.uniform(size=len(names)) < 0.4)]
+            lines.append("\t".join((labels[i], *cells)))
+        path = tmp_path / "attrs.tsv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        vocab = VocabularyMaps(labels=labels, context_lists=(("x",),), attribute_lists=(names,))
+        return path, vocab
+
+    @pytest.mark.parametrize("block", [ingest._TABLE_BLOCK_BYTES, 100], ids=["default blocks", "rows straddle blocks"])
+    def test_regular_table_never_reaches_the_line_reader(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng(4)
+        labels = tuple(sorted(f"L{i:03d}" for i in range(60))) + ("ferme", "кот", "猫")
+        names = tuple(f"a{j}" for j in range(9))
+        values = rng.standard_normal((len(labels), len(names))) * 10.0 ** rng.integers(-300, 300, (len(labels), len(names)))
+        values[::7, 0] = -0.0
+        path, vocab = self.table(tmp_path, labels, names, values, rng)
+        A, mask = ingest._table_lines(path, vocab, len(names))
+        assert 0.4 < mask.mean() < 0.6 and np.signbit(A).any()
+        monkeypatch.setattr(ingest, "_TABLE_BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "_table_lines", mock.Mock(side_effect=AssertionError("the line reader ran")))
+        context = load_attribute_table(path, vocab)
+        assert context.assoc.tobytes() == A.tobytes()
+        assert context.mask.tobytes() == mask.tobytes()
+
+    def test_memory_stays_within_the_result_and_a_few_blocks(self, tmp_path, monkeypatch):
+        # 4000 x 150 cells of 3 decimals, like the wide benchmark's tables.
+        # Past the two result arrays and AttributeContext's copies of them,
+        # the peak holds AttributeContext's checks (about 3 MB here) or a
+        # block's text, tokens and values; one block for the whole file
+        # peaked about 10 MB higher. The slack is 16 blocks of 256 KB.
+        rng = np.random.default_rng(5)
+        labels = tuple(f"L{i:05d}" for i in range(4000))
+        names = tuple(f"a{j:03d}" for j in range(150))
+        path, vocab = self.table(tmp_path, labels, names, np.round(rng.standard_normal((4000, 150)), 3), rng)
+        monkeypatch.setattr(ingest, "_table_lines", mock.Mock(side_effect=AssertionError("the line reader ran")))
+        tracemalloc.start()
+        try:
+            context = load_attribute_table(path, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * context.assoc.nbytes + 16 * 2**18
 
 
 class TestRelationFile:

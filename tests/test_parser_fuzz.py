@@ -3,6 +3,8 @@ well-formed value or raises a ``ValueError`` (``ParseError`` is one) that
 names the file, which the CLI turns into exit 2. Any other exception, or a
 warning (every warning is an error under the test settings), is a leak."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,3 +124,115 @@ def test_mutated_file_parses_or_raises_value_error(name, tmp_path_factory, data)
         return
     check(value)
 
+
+# ---------------------------------------------------------------------------
+# Attribute tables: the block reader against the line reader it falls back
+# to. Every table gives the same bits (values, mask, sign of zero) or the
+# same error text and line.
+
+
+def table_outcome(path, vocab=VOCAB):
+    try:
+        context = ingest.load_attribute_table(path, vocab)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return context.assoc.shape, context.assoc.tobytes(), context.mask.tobytes()
+
+
+def line_reader_outcome(path, vocab=VOCAB):
+    with mock.patch.object(ingest, "_table_blocks", side_effect=ingest._Irregular):
+        return table_outcome(path, vocab)
+
+
+HEADER, ROWS = ATTRIBUTES.split(b"\n", 1)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), block=st.integers(1, 64))
+def test_mutated_tables_read_as_the_line_reader_reads_them(tmp_path_factory, data, block):
+    # Half the tables keep their header, so that more reach the rows.
+    if data.draw(st.booleans()):
+        text = HEADER + b"\n" + data.draw(mutated(ROWS))
+    else:
+        text = data.draw(mutated(ATTRIBUTES))
+    path = tmp_path_factory.getbasetemp() / "fuzz-table"
+    path.write_bytes(text)
+    with mock.patch.object(ingest, "_TABLE_BLOCK_BYTES", block):  # block ends fall mid-file
+        assert table_outcome(path) == line_reader_outcome(path)
+
+
+# cat's "furry" cell in ATTRIBUTES: what the line reader makes of it, a
+# value or the end of its error text.
+CELLS = {
+    "1_0": 10.0,
+    "١": 1.0,
+    "-0": -0.0,
+    "\u00a01\u2028": 1.0,
+    "NA ": ":2: non-numeric cell 'NA '",
+    " NA": ":2: non-numeric cell ' NA'",
+    "1\x00": ":2: non-numeric cell '1\\x00'",
+    "1\x1c": ":2: non-numeric cell '1\\x1c'",
+    " ": ":2: non-numeric cell ' '",
+    "nan": ":2: non-finite cell 'nan'",
+    "inf": ":2: non-finite cell 'inf'",
+    "1e999": ":2: non-finite cell '1e999'",
+}
+
+
+@pytest.mark.parametrize("cell, expected", CELLS.items(), ids=map(ascii, CELLS))
+def test_cells_read_as_the_line_reader_reads_them(tmp_path, cell, expected):
+    path = tmp_path / "attrs.tsv"
+    path.write_bytes(ATTRIBUTES.replace(b"cat\t1", b"cat\t" + cell.encode()))
+    got = table_outcome(path)
+    assert got == line_reader_outcome(path)
+    if isinstance(expected, str):
+        assert got[:2] == (ingest.ParseError, f"{path}{expected}")
+    else:
+        assert np.frombuffer(got[1])[0].tobytes() == np.float64(expected).tobytes()  # sign of zero too
+
+
+# Whole tables: None where the line reader accepts the table, else the end
+# of its error text.
+TABLES = {
+    "crlf in the header only": (HEADER + b"\r\n" + ROWS, None),
+    "lone cr ending the header": (HEADER + b"\r" + ROWS, None),
+    "crlf": (ATTRIBUTES.replace(b"\n", b"\r\n"), None),
+    "blank line": (ATTRIBUTES.replace(b"\ndog", b"\n\ndog"), None),
+    "no final newline": (ATTRIBUTES[:-1], None),
+    "header only": (HEADER + b"\n", None),
+    "header only, no newline": (HEADER, None),
+    "ragged row": (ATTRIBUTES.replace(b"\t2\n", b"\n"), ":3: expected 3 fields, got 2"),
+    "empty cell": (ATTRIBUTES.replace(b"\t2\n", b"\t\n"), ":3: non-numeric cell ''"),
+    "duplicate label": (ATTRIBUTES + b"cat\tNA\tNA\n", ":5: duplicate row for label 'cat'"),
+    "unknown label": (ATTRIBUTES.replace(b"dog", b"cow"), ":3: label 'cow' unknown"),
+    "NA as a label": (ATTRIBUTES.replace(b"dog", b"NA"), ":3: label 'NA' unknown"),
+    "0xff": (ATTRIBUTES.replace(b"dog", b"d\xffg"), ": 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("block", [1, ingest._TABLE_BLOCK_BYTES], ids=["line per block", "one block"])
+@pytest.mark.parametrize("text, expected", TABLES.values(), ids=TABLES.keys())
+def test_tables_read_as_the_line_reader_reads_them(tmp_path, monkeypatch, text, expected, block):
+    monkeypatch.setattr(ingest, "_TABLE_BLOCK_BYTES", block)
+    path = tmp_path / "attrs.tsv"
+    path.write_bytes(text)
+    got = table_outcome(path)
+    assert got == line_reader_outcome(path)
+    if expected is None:
+        check_attributes(ingest.load_attribute_table(path, VOCAB))
+    else:
+        assert got[:2] == (ingest.ParseError, f"{path}{expected}")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(b"label\ncat\nhorse", None), (b"label\ncat\nhorse\t1\n", ":3: expected 1 fields, got 2")],
+    ids=["rows", "ragged row"],
+)
+def test_zero_attribute_tables_read_as_the_line_reader_reads_them(tmp_path, text, expected):
+    vocab = VocabularyMaps(labels=VOCAB.labels, context_lists=VOCAB.context_lists)
+    path = tmp_path / "attrs.tsv"
+    path.write_bytes(text)
+    got = table_outcome(path, vocab)
+    assert got == line_reader_outcome(path, vocab)
+    assert got[:2] == ((ingest.ParseError, f"{path}{expected}") if expected else ((3, 0), b""))
