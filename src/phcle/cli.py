@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -214,6 +215,14 @@ def _run_scorer(command: str, model_path) -> float:
 
 
 def cmd_train(args) -> int:
+    if args.grid_search is not None and len(args.attrs) > 1:
+        raise ValueError("grid search supports a single descriptive context")
+    for path in args.attrs:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(
+                f"{path}: --attrs needs a regular file: train reads each table twice "
+                "(its header for the vocabulary, then the whole table), and a pipe can be read only once"
+            )
     cooc_vocab, D = read_cooccurrence_tsv(args.cooc)
     hyper = load_config(args.config)
     attr_names = [read_attribute_names(path) for path in args.attrs]
@@ -222,8 +231,6 @@ def cmd_train(args) -> int:
         load_attribute_table(path, replace(vocab, attribute_lists=(names,)))
         for path, names in zip(args.attrs, attr_names)
     ]
-    if args.grid_search is not None and len(contexts_list) > 1:
-        raise ValueError("grid search supports a single descriptive context")
 
     def fit(h: HyperParams):
         if len(contexts_list) > 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -278,11 +279,12 @@ def load_hierarchy_file(path) -> list[tuple[str, str]]:
     return edges
 
 
-def read_attribute_names(path) -> tuple[str, ...]:
-    """Return the attribute column names from a table header."""
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        header = fh.readline().rstrip("\n")
-    cells = header.split("\t")
+def _attribute_names(fh, path) -> tuple[tuple[str, ...], int]:
+    """Return the attribute names in the header line that the text file
+    ``fh`` starts with, and the line's length in bytes."""
+    with naming_undecodable(path):
+        header = fh.readline()
+    cells = header.rstrip("\r\n").split("\t")
     if not cells or cells[0] != "label":
         raise ParseError("header must start with a 'label' column", path=path, line=1)
     names = tuple(cells[1:])
@@ -290,7 +292,13 @@ def read_attribute_names(path) -> tuple[str, ...]:
         raise ParseError("empty attribute name in header", path=path, line=1)
     if len(set(names)) != len(names):
         raise ParseError("duplicate attribute names in header", path=path, line=1)
-    return names
+    return names, len(header.encode("utf-8"))
+
+
+def read_attribute_names(path) -> tuple[str, ...]:
+    """Return the attribute column names from a table header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _attribute_names(fh, path)[0]
 
 
 def _is_float(text: str) -> bool:
@@ -301,17 +309,15 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _table_lines(path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read the rows of an attribute table of ``m`` attributes line by
-    line into ``(assoc, mask)``; a bad line raises a :class:`ParseError`
-    naming it."""
+def _table_lines(fh, path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the ``m``-attribute rows past the header of the text file ``fh``
+    into ``(assoc, mask)``; a :class:`ParseError` names the first bad line."""
     A = np.zeros((len(vocab.labels), m))
     mask = np.zeros((len(vocab.labels), m))
-    row_lines: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        fh.readline()
+    seen = np.zeros(len(vocab.labels), dtype=bool)
+    with naming_undecodable(path):
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             cells = line.split("\t")
@@ -321,25 +327,19 @@ def _table_lines(path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.nd
                 row = vocab.label_index(cells[0])
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-            if row in row_lines:
+            if seen[row]:
                 raise ParseError(f"duplicate row for label {cells[0]!r}", path=path, line=lineno)
-            row_lines[row] = lineno
+            seen[row] = True
             fields = cells[1:]
             try:
                 A[row] = [0.0 if cell == "NA" else float(cell) for cell in fields]
             except ValueError:
                 bad = next(cell for cell in fields if cell != "NA" and not _is_float(cell))
                 raise ParseError(f"non-numeric cell {bad!r}", path=path, line=lineno) from None
+            if not np.isfinite(A[row]).all():
+                bad = next(cell for cell in fields if cell != "NA" and not math.isfinite(float(cell)))
+                raise ParseError(f"non-finite cell {bad!r}", path=path, line=lineno)
             mask[row] = [cell != "NA" for cell in fields]
-    # Unobserved cells hold 0.0 in A, so one scan finds any non-finite
-    # observed value; only then is its line looked up.
-    if not np.isfinite(A).all():
-        lineno = min(row_lines[row] for row in np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist())
-        with open(path, "r", encoding="utf-8") as fh:
-            line = next(itertools.islice(fh, lineno - 1, None))
-        cells = line.rstrip("\n").split("\t")[1:]
-        cell = next(cell for cell in cells if cell != "NA" and not math.isfinite(float(cell)))
-        raise ParseError(f"non-finite cell {cell!r}", path=path, line=lineno)
     return A, mask
 
 
@@ -413,27 +413,32 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
     match the vocabulary. A cell of ``NA`` marks an unobserved entry;
     labels in the vocabulary without a row come back fully masked.
 
-    A regular file is read with :func:`_table_blocks`; on any
-    irregularity it is read again with :func:`_table_lines`, so every
+    The path is opened once, and a file that cannot seek (a pipe) is read
+    into memory. The rows are read with :func:`_table_blocks`; on any
+    irregularity they are read again with :func:`_table_lines`, so every
     error keeps the text and line the line reader gives it.
     """
-    names = read_attribute_names(path)
-    if names != vocab.attributes:
-        raise ValueError(
-            f"attribute columns in {path} do not match the vocabulary "
-            f"({len(names)} columns vs {len(vocab.attributes)} attributes)"
-        )
-    m = len(names)
-    if stat.S_ISREG(os.stat(path).st_mode):  # a pipe cannot be read a second time
-        with open(path, "rb") as fh:
-            try:
-                # The text reader also ends a line at a lone CR, so a
-                # header holding one ends elsewhere for it.
-                if b"\r" not in fh.readline():
-                    return AttributeContext(*_table_blocks(fh, vocab, m))
-            except _Irregular:
-                pass
-    return AttributeContext(*_table_lines(path, vocab, m))
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        # Without newline translation a text line still ends at CR, LF or
+        # CRLF but keeps its bytes, so the rows start right after the
+        # header's; the line reader reads the same text handle.
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        names, rows_start = _attribute_names(text, path)
+        if names != vocab.attributes:
+            raise ValueError(
+                f"attribute columns in {path} do not match the vocabulary "
+                f"({len(names)} columns vs {len(vocab.attributes)} attributes)"
+            )
+        fh.seek(rows_start)
+        try:
+            return AttributeContext(*_table_blocks(fh, vocab, len(names)))
+        except _Irregular:
+            pass
+        text.seek(0)
+        text.readline()
+        return AttributeContext(*_table_lines(text, path, vocab, len(names)))
 
 
 def negative_bound_values(D: np.ndarray, negative_samples: int) -> np.ndarray:

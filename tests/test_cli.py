@@ -903,6 +903,60 @@ class TestGridSearch:
         assert code == 2
         assert "single descriptive context" in capsys.readouterr().err
 
+    def test_grid_search_is_checked_before_any_input_is_read(self, workspace, capsys):
+        (workspace / "attrs2.tsv").write_text("label\tsize\ndog\t3\n")
+        code = main(
+            [
+                "train",
+                "--cooc", str(workspace / "missing.tsv"),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--attrs", str(workspace / "attrs2.tsv"),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+                "--grid-search", "true",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid search supports a single descriptive context\n"
+
+
+class TestTrainAttributePaths:
+    """train reads each table's header for the vocabulary, then loads the
+    table: a pipe would be empty the second time, so it is refused."""
+
+    def argv(self, workspace, attrs):
+        cooc = workspace / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
+        return [
+            "train",
+            "--cooc", str(cooc),
+            "--attrs", str(attrs),
+            "--config", str(workspace / "config"),
+            "--out", str(workspace / "model.bin"),
+        ]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_refused_with_the_reason(self, workspace, capsys):
+        r, w = os.pipe()
+        try:
+            os.write(w, ATTRS.encode())
+            os.close(w)
+            argv = self.argv(workspace, f"/dev/fd/{r}")
+            capsys.readouterr()
+            assert main(argv) == 2
+        finally:
+            os.close(r)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: /dev/fd/{r}: --attrs needs a regular file: train reads each table twice")
+        assert not (workspace / "model.bin").exists()
+
+    def test_missing_table_is_an_io_error(self, workspace, capsys):
+        argv = self.argv(workspace, workspace / "missing.tsv")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "missing.tsv" in capsys.readouterr().err
+        assert not (workspace / "model.bin").exists()
+
 
 class TestReadOnlyCommands:
     def test_retrieve_tsv_matches_library(self, workspace, capsys):

@@ -1,10 +1,14 @@
+import builtins
+import contextlib
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from phcle import ingest
+from phcle import HyperParams, ingest, save_model, train
 from phcle.datamodel import VocabularyMaps
 from phcle.errors import ParseError
 from phcle.ingest import (
@@ -177,6 +181,12 @@ class TestAttributeTable:
             load_attribute_table(path, self.vocab())
         assert err.value.line == 3
 
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path):
+        path = self.write(tmp_path, "label\tfurry\tbig\ncat\t1\tNA\ndog\tinf\t2\n\nhorse\tabc\t1\n")
+        with pytest.raises(ParseError, match="non-finite cell 'inf'") as err:
+            load_attribute_table(path, self.vocab())
+        assert err.value.line == 3
+
     def test_rows_match_cell_by_cell_reference(self, tmp_path):
         # The cell-by-cell loop the row-at-a-time parser replaced.
         def reference(path, vocab):
@@ -250,9 +260,28 @@ class TestAttributeTableBlocks:
         values = rng.standard_normal((len(labels), len(names))) * 10.0 ** rng.integers(-300, 300, (len(labels), len(names)))
         values[::7, 0] = -0.0
         path, vocab = self.table(tmp_path, labels, names, values, rng)
-        A, mask = ingest._table_lines(path, vocab, len(names))
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            A, mask = ingest._table_lines(fh, path, vocab, len(names))
         assert 0.4 < mask.mean() < 0.6 and np.signbit(A).any()
         monkeypatch.setattr(ingest, "_TABLE_BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "_table_lines", mock.Mock(side_effect=AssertionError("the line reader ran")))
+        context = load_attribute_table(path, vocab)
+        assert context.assoc.tobytes() == A.tobytes()
+        assert context.mask.tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "lone cr"])
+    def test_header_ending_in_cr_leaves_the_rows_to_the_block_reader(self, tmp_path, monkeypatch, end):
+        # The rows start where the text reader ended the header line.
+        rng = np.random.default_rng(8)
+        labels = tuple(f"L{i:03d}" for i in range(40))
+        names = ("a0", "a1", "a2")
+        path, vocab = self.table(tmp_path, labels, names, rng.standard_normal((40, 3)), rng)
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"\n", end, 1))
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            A, mask = ingest._table_lines(fh, path, vocab, len(names))
         monkeypatch.setattr(ingest, "_table_lines", mock.Mock(side_effect=AssertionError("the line reader ran")))
         context = load_attribute_table(path, vocab)
         assert context.assoc.tobytes() == A.tobytes()
@@ -276,6 +305,133 @@ class TestAttributeTableBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * context.assoc.nbytes + 16 * 2**18
+
+
+@contextlib.contextmanager
+def pipe_holding(data: bytes):
+    """Yield a ``/dev/fd`` path to a pipe that a thread fills with ``data``,
+    so that a table larger than the pipe's buffer cannot block the test."""
+    r, w = os.pipe()
+
+    def fill():
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(w, view) :]
+        except BrokenPipeError:  # the reader stopped early
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def outcome(path, vocab):
+    """The table's bits, or its error text past the path and its line."""
+    try:
+        context = load_attribute_table(path, vocab)
+    except ParseError as exc:
+        return str(exc).removeprefix(str(path)), exc.line
+    return context.assoc.tobytes(), context.mask.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestAttributeTableHandle:
+    """A table is opened once, and a pipe reads as the file does."""
+
+    LABELS = tuple(f"L{i:04d}" for i in range(3000))
+    NAMES = ("a", "b", "c")
+    VOCAB = VocabularyMaps(labels=LABELS, context_lists=(("x", "y"),), attribute_lists=(NAMES,))
+
+    def table(self, rows):
+        """``rows`` lines of 40% NA cells; the tenth label, on line 11, has
+        no row."""
+        rng = np.random.default_rng(6)
+        lines = [b"label\ta\tb\tc\n"]
+        for i in range(rows):
+            if i != 9:
+                cells = ["NA" if rng.uniform() < 0.4 else repr(v) for v in rng.standard_normal(3).tolist()]
+                lines.append("\t".join((self.LABELS[i], *cells)).encode() + b"\n")
+        return b"".join(lines)
+
+    # Past the 8 KB the header's text read takes; past a 64 KB pipe buffer;
+    # CRLF, which the line reader reads.
+    TABLES = {"over 8 KB": (300, b"\n"), "over 64 KB": (3000, b"\n"), "crlf": (600, b"\r\n")}
+
+    @pytest.mark.parametrize("rows, newline", TABLES.values(), ids=TABLES.keys())
+    def test_pipe_reads_as_the_file_does(self, tmp_path, rows, newline):
+        data = self.table(rows).replace(b"\n", newline)
+        assert len(data) > (8192 if rows < 3000 else 65536)
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(data)
+        expected = outcome(path, self.VOCAB)
+        assert isinstance(expected[0], bytes) and np.frombuffer(expected[1]).sum() > 0.5 * rows
+        with pipe_holding(data) as piped:
+            assert outcome(piped, self.VOCAB) == expected
+
+    # A non-finite cell the text reader meets past its first read, and an
+    # undecodable byte past it in a CRLF table, which the line reader reads
+    # in the same 8 KB pieces as from the file.
+    BAD = {"inf past 8 KB": (b"\nL2501", b"\nL0009\tinf\tNA\t1\nL2501"), "0xff past 8 KB, crlf": (b"L2500", b"L25\xff0")}
+
+    @pytest.mark.parametrize("old, new", BAD.values(), ids=BAD.keys())
+    def test_pipe_error_reads_as_the_file_error(self, tmp_path, old, new):
+        data = self.table(3000).replace(old, new)
+        if b"\xff" in new:
+            data = data.replace(b"\n", b"\r\n")
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(data)
+        expected = outcome(path, self.VOCAB)
+        assert expected[0].startswith((":2502: non-finite cell 'inf'", ": 'utf-8' codec can't decode byte 0xff"))
+        with pipe_holding(data) as piped:
+            assert outcome(piped, self.VOCAB) == expected
+
+    CASES = {"blocks": None, "crlf": (b"\n", b"\r\n"), "non-finite": (b"\nL2501", b"\nL0009\tnan\tNA\t1\nL2501"), "pipe": None}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_path_is_opened_once(self, tmp_path, monkeypatch, case):
+        data = self.table(3000)
+        if self.CASES[case]:
+            data = data.replace(*self.CASES[case])
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(data)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        with contextlib.ExitStack() as stack:
+            if case == "pipe":
+                path = stack.enter_context(pipe_holding(data))
+            result = outcome(path, self.VOCAB)
+        assert opened == [path]
+        if case == "non-finite":
+            assert result == (":2502: non-finite cell 'nan'", 2502)
+        else:
+            assert isinstance(result[0], bytes)
+
+    def test_training_on_a_piped_table_writes_the_same_model(self, tmp_path):
+        data = self.table(3000)
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(data)
+        D = np.random.default_rng(7).poisson(2.0, (2, len(self.LABELS))).astype(float)
+        hyper = HyperParams(dim=4, outer_iters=2, inner_max_iter=3, step_size=1e-3)
+        with pipe_holding(data) as piped:
+            sources = {"file": path, "pipe": piped}
+            for name, source in sources.items():
+                context = load_attribute_table(source, self.VOCAB)
+                model, _ = train(D, context.assoc, context.mask, hyper, self.VOCAB)
+                save_model(tmp_path / f"{name}.bin", model, self.VOCAB, hyper)
+        assert (tmp_path / "pipe.bin").read_bytes() == (tmp_path / "file.bin").read_bytes()
 
 
 class TestRelationFile:
