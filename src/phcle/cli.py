@@ -126,24 +126,42 @@ def load_config(path) -> HyperParams:
 # Sparse co-occurrence files: one "context<TAB>label<TAB>value" line per entry.
 
 
-# Contexts per write, so that only a slice of the file's text is in memory.
-_WRITE_ROWS = 256
+# Lines per write: the gather's temporaries take about 17 bytes per byte of
+# text, so a block stays a few MB whatever the size of the file.
+_WRITE_LINES = 1 << 12
 
 
 def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
     rows, cols = np.nonzero(D)  # row-major order, as the file lists entries
     # Counts repeat a lot, so each distinct value is formatted once.
     distinct, which = np.unique(D[rows, cols], return_inverse=True)
-    texts = [format_float(value) + "\n" for value in distinct.tolist()]
-    contexts = [name + "\t" for name in vocab.contexts]
-    labels = [name + "\t" for name in vocab.labels]
-    cuts = np.searchsorted(rows, np.arange(0, len(contexts) + _WRITE_ROWS, _WRITE_ROWS)).tolist()
-    with _atomic_open(path) as fh:
-        for lo, hi in zip(cuts, cuts[1:]):
-            fh.write("".join([
-                contexts[c] + labels[w] + texts[t]
-                for c, w, t in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), which[lo:hi].tolist())
-            ]))
+    # Every piece a line is made of, encoded once into one byte pool:
+    # "context\t" prefixes, then "label\t" prefixes, then "value\n" texts.
+    pieces = [
+        text.encode("utf-8")
+        for text in itertools.chain(
+            (name + "\t" for name in vocab.contexts),
+            (name + "\t" for name in vocab.labels),
+            (format_float(value) + "\n" for value in distinct.tolist()),
+        )
+    ]
+    pool = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+    length = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+    start = np.cumsum(length) - length
+    # Each line's context, label and value as ids into the pieces.
+    cols += len(vocab.contexts)
+    which += len(vocab.contexts) + len(vocab.labels)
+    with _atomic_open(path, "wb") as fh:
+        for lo in range(0, rows.size, _WRITE_LINES):
+            hi = lo + _WRITE_LINES
+            ids = np.stack([rows[lo:hi], cols[lo:hi], which[lo:hi]], axis=1).ravel()
+            lens = length[ids]
+            ends = np.cumsum(lens)
+            # Block byte k, in a piece that begins at block byte b, is pool
+            # byte start[piece] + k - b.
+            index = np.repeat(start[ids] - (ends - lens), lens)
+            index += np.arange(index.size)
+            fh.write(pool[index])
 
 
 def _cooccurrence_lines(path):

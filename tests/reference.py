@@ -3,6 +3,8 @@
 No command of ``phcle`` calls these, so they are not part of the package:
 each is kept here as it was written there, next to the private helpers of
 ``phcle`` it is built on, and the tests check the shipped code against it.
+Under ``cli`` is the co-occurrence writer as it was before the byte
+gather replaced it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from phcle.datamodel import (
     DEFAULT_INIT_SCHEME,
     EmbeddingModel,
     VocabularyMaps,
+    _atomic_open,
     _draw_factors,
     _frozen_array,
+    format_float,
 )
 from phcle.descriptive import _add_penalties, descriptive_objective
 from phcle.evaluation import NORM_FLOOR
@@ -159,3 +163,27 @@ def cosine_similarity(u, v) -> float:
     if nu < NORM_FLOOR or nv < NORM_FLOOR:
         return 0.0
     return float(u @ v) / (nu * nv)
+
+
+# ---------------------------------------------------------------------------
+# cli
+
+
+# Contexts per write, so that only a slice of the file's text is in memory.
+_WRITE_ROWS = 256
+
+
+def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
+    rows, cols = np.nonzero(D)  # row-major order, as the file lists entries
+    # Counts repeat a lot, so each distinct value is formatted once.
+    distinct, which = np.unique(D[rows, cols], return_inverse=True)
+    texts = [format_float(value) + "\n" for value in distinct.tolist()]
+    contexts = [name + "\t" for name in vocab.contexts]
+    labels = [name + "\t" for name in vocab.labels]
+    cuts = np.searchsorted(rows, np.arange(0, len(contexts) + _WRITE_ROWS, _WRITE_ROWS)).tolist()
+    with _atomic_open(path) as fh:
+        for lo, hi in zip(cuts, cuts[1:]):
+            fh.write("".join([
+                contexts[c] + labels[w] + texts[t]
+                for c, w, t in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), which[lo:hi].tolist())
+            ]))
