@@ -28,7 +28,7 @@ from .datamodel import (
     save_embeddings,
     save_model,
 )
-from .errors import DivergenceError, ParseError, UnsupportedVersionError, naming_undecodable
+from .errors import DivergenceError, ParseError, naming_undecodable
 from .evaluation import (
     cluster_order,
     correlation_matrix,
@@ -48,37 +48,49 @@ from .ingest import (
 )
 from .trainer import train, train_generalized
 
-# Documented defaults for every config key (key=value lines, '#' comments).
-CONFIG_DEFAULTS: dict[str, str] = {
-    "lambda1": "1.0",
-    "lambda2": "0.01",
-    "lambda3": "0.01",
-    "k": "10",
-    "dim": "100",
-    "outer_iters": "50",
-    "inner_fista": "50",
-    "step": "1e-05",
-    "epsilon": "0.0001",
-    "seed": "0",
-    "init": "uniform_random(0.1)",
-    "inner_steps_c": "5",
-    "inner_steps_w": "5",
-    "alpha": "1",
-    "beta": "1",
+# Each config key (key=value lines, '#' comments) and the HyperParams field
+# it sets, in the order the defaults are noted and the values are checked.
+CONFIG_KEYS: dict[str, str] = {
+    "lambda1": "lambda1",
+    "lambda2": "lambda2",
+    "lambda3": "lambda3",
+    "k": "negative_samples",
+    "dim": "dim",
+    "outer_iters": "outer_iters",
+    "inner_fista": "inner_max_iter",
+    "step": "step_size",
+    "epsilon": "tolerance",
+    "seed": "seed",
+    "init": "init_scheme",
+    "inner_steps_c": "inner_steps_c",
+    "inner_steps_w": "inner_steps_w",
+    "alpha": "alpha",
+    "beta": "beta",
 }
 
 GRID_VALUES = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 
 
-def _parse_weights(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(","))
+def _config_text(value) -> str:
+    """A default as a config file would give it."""
+    if isinstance(value, tuple):
+        return ",".join(map(format_float, value))
+    return str(value)
+
+
+def _parse_config_value(text: str, default):
+    """Read a config value as the type of the field's default; a tuple of
+    weights is given comma separated."""
+    if isinstance(default, tuple):
+        return tuple(float(part.strip()) for part in text.split(","))
+    return type(default)(text)
 
 
 def load_config(path) -> HyperParams:
     """Parse a key=value config file into hyperparameters.
 
-    Unknown keys are rejected; missing keys fall back to the documented
-    default and say so on stderr.
+    Unknown keys are rejected; missing keys take ``HyperParams()``'s value
+    and say so on stderr.
     """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
@@ -89,35 +101,24 @@ def load_config(path) -> HyperParams:
             if "=" not in line:
                 raise ParseError(f"expected key=value, got {line!r}", path=path, line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_DEFAULTS:
+            if key not in CONFIG_KEYS:
                 raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
             if key in raw:
                 raise ParseError(f"duplicate config key {key!r}", path=path, line=lineno)
             if not value:
                 raise ParseError(f"empty value for {key!r}", path=path, line=lineno)
             raw[key] = value
-    for key, default in CONFIG_DEFAULTS.items():
+    defaults = HyperParams()
+    for key, field in CONFIG_KEYS.items():
         if key not in raw:
-            print(f"config: {key} not set, using default {default}", file=sys.stderr)
-            raw[key] = default
+            print(f"config: {key} not set, using default {_config_text(getattr(defaults, field))}", file=sys.stderr)
     try:
-        return HyperParams(
-            lambda1=float(raw["lambda1"]),
-            lambda2=float(raw["lambda2"]),
-            lambda3=float(raw["lambda3"]),
-            negative_samples=int(raw["k"]),
-            dim=int(raw["dim"]),
-            outer_iters=int(raw["outer_iters"]),
-            inner_max_iter=int(raw["inner_fista"]),
-            step_size=float(raw["step"]),
-            tolerance=float(raw["epsilon"]),
-            seed=int(raw["seed"]),
-            init_scheme=raw["init"],
-            inner_steps_c=int(raw["inner_steps_c"]),
-            inner_steps_w=int(raw["inner_steps_w"]),
-            alpha=_parse_weights(raw["alpha"]),
-            beta=_parse_weights(raw["beta"]),
-        )
+        values = {
+            field: _parse_config_value(raw[key], getattr(defaults, field))
+            for key, field in CONFIG_KEYS.items()
+            if key in raw
+        }
+        return HyperParams(**values)
     except ValueError as exc:
         raise ParseError(f"bad config value: {exc}", path=path) from None
 
@@ -466,9 +467,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnsupportedVersionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

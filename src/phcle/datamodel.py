@@ -136,31 +136,11 @@ class VocabularyMaps:
             raise ValueError("attribute names collide across descriptive contexts")
         return names
 
-    @cached_property
-    def _context_idx(self):
-        return {n: i for i, n in enumerate(self.contexts)}
-
-    @cached_property
-    def _attribute_idx(self):
-        return {n: i for i, n in enumerate(self.attributes)}
-
     def label_index(self, name: str) -> int:
         try:
             return self._label_idx[name]
         except KeyError:
             raise ValueError(f"label {name!r} unknown") from None
-
-    def context_index(self, name: str) -> int:
-        try:
-            return self._context_idx[name]
-        except KeyError:
-            raise ValueError(f"context {name!r} unknown") from None
-
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self._attribute_idx[name]
-        except KeyError:
-            raise ValueError(f"attribute {name!r} unknown") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,11 +230,11 @@ class EmbeddingModel:
 GeneralizedVocabulary = VocabularyMaps
 
 
-def _simplex_weights(values, name, *, require_nonnegative):
+def _simplex_weights(values, name):
     weights = tuple(float(v) for v in values)
     if not weights:
         raise ValueError(f"{name} must contain at least one weight")
-    if require_nonnegative and any(w < 0 for w in weights):
+    if any(w < 0 for w in weights):
         raise ValueError(f"{name} weights must be >= 0")
     if not np.isfinite(weights).all():
         raise ValueError(f"{name} weights must be finite, got {weights!r}")
@@ -303,14 +283,10 @@ class HyperParams:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         parse_init_scheme(self.init_scheme)
-        object.__setattr__(
-            self, "alpha", _simplex_weights(self.alpha, "alpha", require_nonnegative=True)
-        )
+        object.__setattr__(self, "alpha", _simplex_weights(self.alpha, "alpha"))
         # A negative descriptive weight would make the smooth subproblem
         # unbounded below, so nonnegativity is enforced here as well.
-        object.__setattr__(
-            self, "beta", _simplex_weights(self.beta, "beta", require_nonnegative=True)
-        )
+        object.__setattr__(self, "beta", _simplex_weights(self.beta, "beta"))
 
 
 _INIT_SCHEME_RE = re.compile(r"uniform_random\(\s*([^)\s]+)\s*\)")

@@ -10,7 +10,7 @@ reproducible; only the recorded wall-clock durations differ between runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,27 +55,12 @@ class TrainingHistory:
         return np.array([r.objective for r in self.records])
 
     def to_tsv(self) -> str:
-        header = (
-            "iteration\tobjective\temf_term\tdescriptive_term\tl1_term"
-            "\tl2_term_w\tl2_term_u\tfista_iterations\tseconds"
-        )
-        rows = [header]
+        columns = fields(HistoryRecord)
+        rows = ["\t".join(f.name for f in columns)]
         for r in self.records:
-            rows.append(
-                "\t".join(
-                    [
-                        str(r.iteration),
-                        format_float(r.objective),
-                        format_float(r.emf_term),
-                        format_float(r.descriptive_term),
-                        format_float(r.l1_term),
-                        format_float(r.l2_term_w),
-                        format_float(r.l2_term_u),
-                        str(r.fista_iterations),
-                        format_float(r.seconds),
-                    ]
-                )
-            )
+            # f.type is the annotation's text: "int" or "float"
+            cells = ((str if f.type == "int" else format_float)(getattr(r, f.name)) for f in columns)
+            rows.append("\t".join(cells))
         return "\n".join(rows) + "\n"
 
 

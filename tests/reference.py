@@ -85,6 +85,15 @@ class RelationRecord:
         _check_relation(self.label, self.context, self.weight)
 
 
+def context_index(vocab: VocabularyMaps, name: str) -> int:
+    """Where ``name`` sits in the vocabulary's only context list."""
+    contexts = vocab.contexts
+    try:
+        return contexts.index(name)
+    except ValueError:
+        raise ValueError(f"context {name!r} unknown") from None
+
+
 def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
     """Accumulate record weights into a contexts x labels count matrix.
 
@@ -95,7 +104,7 @@ def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
     for rec in records:
         try:
             w = vocab.label_index(rec.label)
-            c = vocab.context_index(rec.context)
+            c = context_index(vocab, rec.context)
         except ValueError as exc:
             raise ValueError(f"{exc} (record {rec.label!r} -> {rec.context!r})") from None
         D[c, w] += rec.weight

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phcle
 from phcle.cli import (
-    CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     GRID_VALUES,
     load_config,
     main,
@@ -140,23 +141,61 @@ class TestConfig:
             load_config(path)
         assert err.value.line == 2
 
-    def test_documented_defaults_are_complete(self):
-        hyper = HyperParams()
-        assert float(CONFIG_DEFAULTS["lambda1"]) == hyper.lambda1
-        assert float(CONFIG_DEFAULTS["lambda2"]) == hyper.lambda2
-        assert float(CONFIG_DEFAULTS["lambda3"]) == hyper.lambda3
-        assert int(CONFIG_DEFAULTS["k"]) == hyper.negative_samples
-        assert int(CONFIG_DEFAULTS["dim"]) == hyper.dim
-        assert int(CONFIG_DEFAULTS["outer_iters"]) == hyper.outer_iters
-        assert int(CONFIG_DEFAULTS["inner_fista"]) == hyper.inner_max_iter
-        assert float(CONFIG_DEFAULTS["step"]) == hyper.step_size
-        assert float(CONFIG_DEFAULTS["epsilon"]) == hyper.tolerance
-        assert CONFIG_DEFAULTS["init"] == hyper.init_scheme
+    def test_readme_table_gives_every_key_with_its_noted_default(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config file\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")][2:]  # skip header and rule
+        table = [tuple(cell.strip() for cell in row.strip("|").split("|"))[:2] for row in rows]
+        path = tmp_path / "cfg"
+        path.write_text("")
+        load_config(path)
+        notes = capsys.readouterr().err.splitlines()
+        noted = [tuple(note.removeprefix("config: ").split(" not set, using default ")) for note in notes]
+        assert [key for key, _ in table] == list(CONFIG_KEYS)
+        assert table == noted
 
     def test_empty_file_gives_every_default(self, tmp_path, capsys):
         path = tmp_path / "cfg"
         path.write_text("")
         assert load_config(path) == HyperParams()
+        assert capsys.readouterr().err == (
+            "config: lambda1 not set, using default 1.0\n"
+            "config: lambda2 not set, using default 0.01\n"
+            "config: lambda3 not set, using default 0.01\n"
+            "config: k not set, using default 10\n"
+            "config: dim not set, using default 100\n"
+            "config: outer_iters not set, using default 50\n"
+            "config: inner_fista not set, using default 50\n"
+            "config: step not set, using default 1e-05\n"
+            "config: epsilon not set, using default 0.0001\n"
+            "config: seed not set, using default 0\n"
+            "config: init not set, using default uniform_random(0.1)\n"
+            "config: inner_steps_c not set, using default 5\n"
+            "config: inner_steps_w not set, using default 5\n"
+            "config: alpha not set, using default 1\n"
+            "config: beta not set, using default 1\n"
+        )
+
+    def test_notes_come_before_the_first_bad_value_in_key_order(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        # step comes after dim in key order, so dim is the value reported
+        path.write_text("# partial\nseed = 3\nstep = fast\nlambda2 = 0.5\ndim = three\n")
+        with pytest.raises(ParseError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: bad config value: invalid literal for int() with base 10: 'three'"
+        assert capsys.readouterr().err == (
+            "config: lambda1 not set, using default 1.0\n"
+            "config: lambda3 not set, using default 0.01\n"
+            "config: k not set, using default 10\n"
+            "config: outer_iters not set, using default 50\n"
+            "config: inner_fista not set, using default 50\n"
+            "config: epsilon not set, using default 0.0001\n"
+            "config: init not set, using default uniform_random(0.1)\n"
+            "config: inner_steps_c not set, using default 5\n"
+            "config: inner_steps_w not set, using default 5\n"
+            "config: alpha not set, using default 1\n"
+            "config: beta not set, using default 1\n"
+        )
 
     def test_grid_values(self):
         assert GRID_VALUES == (1e-2, 1e-1, 1.0, 1e1, 1e2)
@@ -1053,6 +1092,7 @@ class TestReadOnlyCommands:
         bad = workspace / "bad.bin"
         bad.write_bytes(b"PHCLE1" + b"\x01")
         assert main(["retrieve", "--model", str(bad), "--query", "x"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: truncated model file\n"
 
     def test_future_version_exits_two(self, workspace, capsys):
         model_path = trained_model(workspace)
@@ -1062,7 +1102,9 @@ class TestReadOnlyCommands:
         bad.write_bytes(bytes(data))
         capsys.readouterr()
         assert main(["retrieve", "--model", str(bad), "--query", "cat"]) == 2
-        assert "version" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: model format version b'PHCLE7' not supported (expected b'PHCLE1')\n"
+        )
 
 
 class TestArgumentErrors:

@@ -38,10 +38,6 @@ class TestVocabularyMaps:
         vocab = small_vocab()
         for i, name in enumerate(vocab.labels):
             assert vocab.label_index(name) == i
-        for i, name in enumerate(vocab.contexts):
-            assert vocab.context_index(name) == i
-        for i, name in enumerate(vocab.attributes):
-            assert vocab.attribute_index(name) == i
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="label 'pig' unknown"):
@@ -478,7 +474,6 @@ class TestMultiContextVocabulary:
         vocab = VocabularyMaps(labels=("a",), context_lists=(("x", "y"),), attribute_lists=(("p",), ("q", "r")))
         assert vocab.contexts == ("x", "y")
         assert vocab.attributes == ("p", "q", "r")
-        assert vocab.attribute_index("q") == 1
 
     def test_several_context_lists_have_no_flat_view(self):
         vocab = VocabularyMaps(labels=("a",), context_lists=(("x",), ("y",)))

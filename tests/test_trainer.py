@@ -8,7 +8,7 @@ from phcle.descriptive import descriptive_objective, fista_solve_U, grad_W_descr
 from phcle.errors import DivergenceError
 from phcle.ingest import negative_bound_values
 from phcle.relational import emf_objective, grad_C, grad_W_relational
-from phcle.trainer import train, train_generalized
+from phcle.trainer import HistoryRecord, TrainingHistory, train, train_generalized
 
 
 def small_instance(seed=0, labels=6, contexts=5, attrs=4):
@@ -152,6 +152,20 @@ class TestTrain:
         assert text.endswith("\n")
         cells = lines[1].split("\t")
         assert float(cells[1]) == history.records[0].objective
+
+    def test_history_tsv_bytes(self):
+        history = TrainingHistory(
+            (
+                HistoryRecord(0, 0.1 + 0.2, -0.0, 5e-324, 1e300, 0.0, 2.5, 0, 0.0),
+                HistoryRecord(7, -1e300, 1.0, -5e-324, 0.1 + 0.2, -0.0, 1e-7, 123, 12.5),
+            )
+        )
+        assert history.to_tsv() == (
+            "iteration\tobjective\temf_term\tdescriptive_term\tl1_term"
+            "\tl2_term_w\tl2_term_u\tfista_iterations\tseconds\n"
+            "0\t0.30000000000000004\t-0\t5e-324\t1e+300\t0\t2.5\t0\t0\n"
+            "7\t-1e+300\t1\t-5e-324\t0.30000000000000004\t-0\t1e-07\t123\t12.5\n"
+        )
 
 
 class TestTrainGeneralized:
