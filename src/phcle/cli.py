@@ -40,6 +40,7 @@ from .ingest import (
     _accumulate,
     _batched,
     _read_counts,
+    _tab_lines,
     hierarchy_to_relations,
     load_attribute_table,
     load_hierarchy_file,
@@ -165,22 +166,17 @@ def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
             fh.write(pool[index])
 
 
-def _cooccurrence_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", path=path, line=lineno)
-            try:
-                value = float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric count {parts[2]!r}", path=path, line=lineno) from None
-            if not math.isfinite(value) or value < 0:
-                raise ParseError(f"count must be finite and >= 0, got {parts[2]}", path=path, line=lineno)
-            yield parts[0], parts[1], value
+def _cooccurrence_lines(fh, path):
+    for lineno, parts in _tab_lines(fh, path):
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", path=path, line=lineno)
+        try:
+            value = float(parts[2])
+        except ValueError:
+            raise ParseError(f"non-numeric count {parts[2]!r}", path=path, line=lineno) from None
+        if not math.isfinite(value) or value < 0:
+            raise ParseError(f"count must be finite and >= 0, got {parts[2]}", path=path, line=lineno)
+        yield parts[0], parts[1], value
 
 
 def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
@@ -199,11 +195,8 @@ def cmd_build_cooc(args) -> int:
         raise ValueError("--radius/--decay only apply to --hierarchy input")
     if args.hierarchy is not None:
         edges = load_hierarchy_file(args.hierarchy)
-        relations = hierarchy_to_relations(
-            edges,
-            radius=args.radius if args.radius is not None else 2,
-            decay=args.decay if args.decay is not None else 0.5,
-        )
+        given = {name: value for name in ("radius", "decay") if (value := getattr(args, name)) is not None}
+        relations = hierarchy_to_relations(edges, **given)
         vocab, D = _accumulate(_batched(relations), args.hierarchy, len(relations))
     else:
         vocab, D = load_relation_counts(args.relations)

@@ -455,7 +455,7 @@ class _Reader:
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         buf = self.raw(rows * cols * 8)
-        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols)
 
     def string(self) -> str:
         n = self.u64()

@@ -5,8 +5,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import os
-import stat
 from collections import defaultdict, deque
 
 import numpy as np
@@ -31,12 +29,13 @@ def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
     pass: names get ids in order of first appearance, the ids then map to
     positions in the sorted vocabulary, and the values are added in the
     order given, so each cell sums exactly as a line-by-line loop would.
-    The arrays start with room for ``capacity`` entries and grow if the
-    blocks hold more.
+    ``capacity`` is an upper bound on the entries, not a starting size:
+    the arrays never grow, and blocks that hold more raise.
 
     A :class:`ParseError` from ``blocks`` keeps its line; any other
-    ``ValueError`` (an undecodable byte, a bad name) and a sum that
-    overflows become one naming ``path``.
+    ``ValueError`` (an undecodable byte, a bad name, more than
+    ``capacity`` entries) and a sum that overflows become one naming
+    ``path``.
     """
     context_ids = defaultdict(itertools.count().__next__)
     label_ids = defaultdict(itertools.count().__next__)
@@ -54,9 +53,6 @@ def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
     try:
         for contexts, labels, block_values in blocks:
             end = n + len(block_values)
-            if end > len(values):
-                for column in (rows, cols, values):
-                    column.resize(max(end, 2 * len(values)), refcheck=False)
             rows[n:end] = np.fromiter(map(context_ids.__getitem__, contexts), np.intp, end - n)
             cols[n:end] = np.fromiter(map(label_ids.__getitem__, labels), np.intp, end - n)
             values[n:end] = block_values
@@ -163,22 +159,47 @@ def _count_blocks(fh, label_column, positive, weight_optional=False):
         yield names[1 - label_column], names[label_column], values
 
 
+def _opened(path):
+    """Open ``path`` once for binary reading; a file that cannot seek (a
+    pipe) is read into memory, so that a reader can go back over it."""
+    fh = open(path, "rb")
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.BytesIO(fh.read())
+
+
+def _tab_lines(fh, path, start=1):
+    """Yield ``(line number, fields)`` for each non-blank line of the text
+    file ``fh``, numbered from ``start``, its line end stripped and its
+    fields split at tabs; undecodable text raises a :class:`ParseError`
+    naming ``path``."""
+    with naming_undecodable(path):
+        for lineno, line in enumerate(fh, start=start):
+            line = line.rstrip("\r\n")
+            if line:
+                yield lineno, line.split("\t")
+
+
 def _read_counts(path, line_entries, label_column, positive, weight_optional=False):
     """Sum a count file with :func:`_count_blocks`; on any irregularity
-    sum ``line_entries(path)`` instead, so every error keeps the text and
-    line the line reader gives it. (An overflowing sum needs no re-read:
-    both paths add the same values in the same order.)"""
-    info = os.stat(path)
-    # An entry line has at least three characters and a newline (the last
-    # line may lack it), so a regular file never makes the arrays grow.
-    capacity = info.st_size // 4 + 1
-    if stat.S_ISREG(info.st_mode):  # a pipe cannot be read a second time
-        with open(path, "rb") as fh:
-            try:
-                return _accumulate(_count_blocks(fh, label_column, positive, weight_optional), path, capacity)
-            except _Irregular:
-                pass
-    return _accumulate(_batched(line_entries(path)), path, capacity)
+    sum ``line_entries(text, path)`` over the same handle instead, so
+    every error keeps the text and line the line reader gives it. (An
+    overflowing sum needs no re-read: both paths add the same values in
+    the same order.)"""
+    with _opened(path) as fh:
+        # An entry line has at least three characters and a line end (the
+        # last line may lack it), so the file holds at most this many.
+        capacity = fh.seek(0, io.SEEK_END) // 4 + 1
+        fh.seek(0)
+        try:
+            return _accumulate(_count_blocks(fh, label_column, positive, weight_optional), path, capacity)
+        except _Irregular:
+            fh.seek(0)
+        # As open(path, "r"): universal newlines and 8 KB decode pieces, so
+        # the line numbers and error texts are the same.
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        return _accumulate(_batched(line_entries(text, path)), path, capacity)
 
 
 def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[tuple[str, str, float]]:
@@ -233,28 +254,24 @@ def hierarchy_to_relations(edges, radius: int = 2, decay: float = 0.5) -> list[t
     return relations
 
 
-def _relation_lines(path):
-    """Yield ``(context, label, weight)`` for each non-blank line of a
-    relation file; a bad line raises a :class:`ParseError` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}", path=path, line=lineno)
-            weight = 1.0
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise ParseError(f"non-numeric weight {parts[2]!r}", path=path, line=lineno) from None
+def _relation_lines(fh, path):
+    """Yield ``(context, label, weight)`` for each non-blank line of the
+    relation file ``fh``; a bad line raises a :class:`ParseError` naming
+    it."""
+    for lineno, parts in _tab_lines(fh, path):
+        if len(parts) not in (2, 3):
+            raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}", path=path, line=lineno)
+        weight = 1.0
+        if len(parts) == 3:
             try:
-                _check_relation(parts[0], parts[1], weight)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            yield parts[1], parts[0], weight
+                weight = float(parts[2])
+            except ValueError:
+                raise ParseError(f"non-numeric weight {parts[2]!r}", path=path, line=lineno) from None
+        try:
+            _check_relation(parts[0], parts[1], weight)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        yield parts[1], parts[0], weight
 
 
 def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
@@ -267,12 +284,8 @@ def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
 def load_hierarchy_file(path) -> list[tuple[str, str]]:
     """Read tab-separated parent/child edges."""
     edges = []
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, parts in _tab_lines(fh, path):
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise ParseError("expected 'parent<TAB>child'", path=path, line=lineno)
             edges.append((parts[0], parts[1]))
@@ -315,31 +328,26 @@ def _table_lines(fh, path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, n
     A = np.zeros((len(vocab.labels), m))
     mask = np.zeros((len(vocab.labels), m))
     seen = np.zeros(len(vocab.labels), dtype=bool)
-    with naming_undecodable(path):
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != m + 1:
-                raise ParseError(f"expected {m + 1} fields, got {len(cells)}", path=path, line=lineno)
-            try:
-                row = vocab.label_index(cells[0])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            if seen[row]:
-                raise ParseError(f"duplicate row for label {cells[0]!r}", path=path, line=lineno)
-            seen[row] = True
-            fields = cells[1:]
-            try:
-                A[row] = [0.0 if cell == "NA" else float(cell) for cell in fields]
-            except ValueError:
-                bad = next(cell for cell in fields if cell != "NA" and not _is_float(cell))
-                raise ParseError(f"non-numeric cell {bad!r}", path=path, line=lineno) from None
-            if not np.isfinite(A[row]).all():
-                bad = next(cell for cell in fields if cell != "NA" and not math.isfinite(float(cell)))
-                raise ParseError(f"non-finite cell {bad!r}", path=path, line=lineno)
-            mask[row] = [cell != "NA" for cell in fields]
+    for lineno, cells in _tab_lines(fh, path, start=2):
+        if len(cells) != m + 1:
+            raise ParseError(f"expected {m + 1} fields, got {len(cells)}", path=path, line=lineno)
+        try:
+            row = vocab.label_index(cells[0])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        if seen[row]:
+            raise ParseError(f"duplicate row for label {cells[0]!r}", path=path, line=lineno)
+        seen[row] = True
+        fields = cells[1:]
+        try:
+            A[row] = [0.0 if cell == "NA" else float(cell) for cell in fields]
+        except ValueError:
+            bad = next(cell for cell in fields if cell != "NA" and not _is_float(cell))
+            raise ParseError(f"non-numeric cell {bad!r}", path=path, line=lineno) from None
+        if not np.isfinite(A[row]).all():
+            bad = next(cell for cell in fields if cell != "NA" and not math.isfinite(float(cell)))
+            raise ParseError(f"non-finite cell {bad!r}", path=path, line=lineno)
+        mask[row] = [cell != "NA" for cell in fields]
     return A, mask
 
 
@@ -413,14 +421,12 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
     match the vocabulary. A cell of ``NA`` marks an unobserved entry;
     labels in the vocabulary without a row come back fully masked.
 
-    The path is opened once, and a file that cannot seek (a pipe) is read
-    into memory. The rows are read with :func:`_table_blocks`; on any
-    irregularity they are read again with :func:`_table_lines`, so every
-    error keeps the text and line the line reader gives it.
+    The path is opened once (:func:`_opened`). The rows are read with
+    :func:`_table_blocks`; on any irregularity they are read again with
+    :func:`_table_lines`, so every error keeps the text and line the line
+    reader gives it.
     """
-    with open(path, "rb") as fh:
-        if not fh.seekable():
-            fh = io.BytesIO(fh.read())
+    with _opened(path) as fh:
         # Without newline translation a text line still ends at CR, LF or
         # CRLF but keeps its bytes, so the rows start right after the
         # header's; the line reader reads the same text handle.

@@ -113,7 +113,8 @@ def build_cooccurrence(records, vocab: VocabularyMaps) -> CooccurrenceMatrix:
 
 def load_relation_file(path) -> list[RelationRecord]:
     """Read tab-separated relation lines: label, context, optional weight."""
-    return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(path)]
+    with open(path, "r", encoding="utf-8") as fh:
+        return [RelationRecord(label, context, weight) for context, label, weight in _relation_lines(fh, path)]
 
 
 # ---------------------------------------------------------------------------

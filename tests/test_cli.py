@@ -315,6 +315,17 @@ class TestBuildCooc:
         assert vocab.labels == vocab.contexts == ("a", "b", "c")
         np.testing.assert_array_equal(D, [[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]])
 
+    def test_hierarchy_defaults_are_radius_2_decay_half(self, tmp_path, capsys):
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_text("a\tb\nb\tc\nc\td\n")  # a -> c is 2 hops, a -> d 3
+        outputs = []
+        for flags in ([], ["--radius", "2", "--decay", "0.5"]):
+            out = tmp_path / f"cooc{len(flags)}.tsv"
+            assert main(["build-cooc", "--hierarchy", str(hierarchy), *flags, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert b"c\ta\t0.5\n" in outputs[0][0] and b"d\ta\t" not in outputs[0][0]
+
     def test_hierarchy_weight_that_underflows_is_rejected(self, tmp_path, capsys):
         # a-b-c-d at decay 1e-200: a -> c weighs 1e-200, a -> d underflows to 0.0
         hierarchy = tmp_path / "h.tsv"

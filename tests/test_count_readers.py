@@ -211,7 +211,7 @@ def test_readers_match_line_references(tmp_path_factory, data, block, which):
 # Which path a file takes.
 
 
-def _raise(path):
+def _raise(fh, path):
     raise AssertionError("the line reader ran on a regular file")
 
 
@@ -242,8 +242,6 @@ def test_clean_files_never_reach_the_line_readers(tmp_path, monkeypatch, line_re
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
 @pytest.mark.parametrize("which", range(len(READERS)), ids=["cooc", "relations"])
 def test_a_pipe_is_read_once(tmp_path, which, crlf):
-    # A pipe reports size 0 and cannot be read twice: it goes to the line
-    # reader, whose arrays grow past the size the file reported.
     text = CLEAN["larger than a block"].replace("\n", "\r\n" if crlf else "\n").encode()
     path = tmp_path / "counts.tsv"
     path.write_bytes(text)
@@ -289,9 +287,9 @@ def test_irregular_files_take_the_line_path(tmp_path, monkeypatch, case, block):
     calls = []
     line_reader = getattr(module, name)
 
-    def spy(path):
+    def spy(fh, path):
         calls.append(path)
-        return line_reader(path)
+        return line_reader(fh, path)
 
     monkeypatch.setattr(module, name, spy)
     read, reference = READERS[kind == "relations"]
@@ -341,8 +339,111 @@ def test_weightless_cooccurrence_lines_take_the_line_path(tmp_path, monkeypatch)
     path.write_text(WEIGHTLESS, encoding="utf-8")
     calls = []
     line_reader = cli._cooccurrence_lines
-    monkeypatch.setattr(cli, "_cooccurrence_lines", lambda path: calls.append(path) or line_reader(path))
+    monkeypatch.setattr(cli, "_cooccurrence_lines", lambda fh, path: calls.append(path) or line_reader(fh, path))
     with pytest.raises(ParseError) as err:
         read_cooccurrence_tsv(path)
     assert str(err.value) == f"{path}:1: expected 3 tab-separated fields, got 2"
     assert calls == [path]
+
+
+# ---------------------------------------------------------------------------
+# One handle per file: opened once, a pipe read into memory once.
+
+
+def _read_through_a_pipe(read, data):
+    """What ``read`` makes of ``data`` (under 64 KB, so one write cannot
+    block) given as a pipe."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return outcome(read, f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("which", range(len(READERS)), ids=["cooc", "relations"])
+def test_a_clean_pipe_never_reaches_the_line_readers(tmp_path, monkeypatch, line_readers_forbidden, which):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    data = CLEAN["larger than a block"].encode()
+    path = tmp_path / "counts.tsv"
+    path.write_bytes(data)
+    read, reference = READERS[which]
+    got = _read_through_a_pipe(read, data)
+    assert isinstance(got[0], VocabularyMaps)
+    assert got == outcome(reference, path)
+
+
+@pytest.mark.parametrize("which", range(len(READERS)), ids=["cooc", "relations"])
+def test_an_irregular_file_is_opened_once(tmp_path, which):
+    path = tmp_path / "counts.tsv"
+    path.write_bytes(CLEAN["larger than a block"].replace("\n", "\r\n").encode())
+    read, reference = READERS[which]
+    expected = outcome(reference, path)
+    with mock.patch("builtins.open", wraps=open) as opened:
+        got = outcome(read, path)
+    assert [call.args[0] for call in opened.call_args_list] == [path]
+    assert got == expected and isinstance(got[0], VocabularyMaps)
+
+
+def _minimal_lines(count, end):
+    """``count`` relation lines of three characters each, ended by ``end``."""
+    return "".join(f"{'abc'[i % 3]}\t{'xy'[i % 2]}{end}" for i in range(count))
+
+
+# (text, whether the block reader takes it): lines of 4 bytes, the fewest
+# an entry takes, so the entries fill the capacity of size // 4 + 1 but
+# one, and exactly when the final line has no line end.
+MINIMAL = {
+    "lf": (_minimal_lines(9000, "\n"), True),
+    "lf, no final newline": (_minimal_lines(9000, "\n")[:-1], True),
+    "lone cr": (_minimal_lines(9000, "\r"), False),
+    "lone cr, no final line end": (_minimal_lines(9000, "\r")[:-1], False),
+    "crlf": (_minimal_lines(9000, "\r\n"), False),
+    "crlf, no final line end": (_minimal_lines(9000, "\r\n")[:-2], False),
+}
+
+
+@pytest.mark.parametrize("text,blocks", MINIMAL.values(), ids=MINIMAL.keys())
+def test_minimal_lines_fill_the_capacity_and_sum_like_the_reference(tmp_path, monkeypatch, text, blocks):
+    path = tmp_path / "rel.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    calls = []
+    line_reader = ingest._relation_lines
+    monkeypatch.setattr(ingest, "_relation_lines", lambda fh, path: calls.append(path) or line_reader(fh, path))
+    vocab, _, bits = assert_same_as_reference(path, load_relation_counts, reference_relations)
+    assert calls == ([] if blocks else [path])
+    assert vocab.labels == ("a", "b", "c") and np.frombuffer(bits).sum() == 9000
+
+
+def test_a_file_that_grows_while_read_names_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "cooc.tsv"
+    path.write_text("farm\tcat\t1\nhome\tdog\t2\n")
+    blocks = ingest._count_blocks
+
+    def grown(fh, *args):
+        with open(path, "a") as out:  # after the size was measured
+            out.write("farm\tcat\t1\n" * 100)
+        return blocks(fh, *args)
+
+    monkeypatch.setattr(ingest, "_count_blocks", grown)
+    with pytest.raises(ParseError) as err:
+        read_cooccurrence_tsv(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("which", range(len(READERS)), ids=["cooc", "relations"])
+def test_undecodable_text_past_the_first_decode_piece(tmp_path, which):
+    # CRLF sends the file to the line reader, which decodes it 8 KB at a
+    # time; the error gives the bad byte's position in its piece.
+    lines = CLEAN["larger than a block"].replace("\n", "\r\n").encode() * 8
+    data = lines[:12345] + b"\xff" + lines[12345:]
+    path = tmp_path / "counts.tsv"
+    path.write_bytes(data)
+    read, reference = READERS[which]
+    got = assert_same_as_reference(path, read, reference)
+    assert got[0] is ParseError and "position 4153" in got[1]
+    piped = _read_through_a_pipe(read, data)
+    assert piped[0] is ParseError and piped[1].partition(": ")[2] == got[1].partition(": ")[2]
