@@ -344,9 +344,10 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
         if any(ch.isspace() for ch in name):
             raise ValueError(f"label name {name!r} contains whitespace, not storable in text format")
     lines = [f"{len(labels)} {model.dim}"]
-    for j, name in enumerate(labels):
-        vec = " ".join(format_float(v) for v in model.W[:, j])
-        lines.append(f"{name} {vec}")
+    # Python floats, one list per label: format_float of each is the same
+    # text as of the np.float64 it came from, and quicker to make.
+    for name, vec in zip(labels, model.W.T.tolist()):
+        lines.append(f"{name} {' '.join(map(format_float, vec))}")
     with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -437,12 +438,15 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def raw(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Where the next ``n`` bytes start; the reader moves past them."""
         if self.pos + n > len(self.data):
             raise ParseError("truncated model file", path=self.path)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        start, self.pos = self.pos, self.pos + n
+        return start
+
+    def raw(self, n: int) -> bytes:
+        return self.data[self._advance(n) : self.pos]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.raw(8))[0]
@@ -454,8 +458,9 @@ class _Reader:
         return struct.unpack("<d", self.raw(8))[0]
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
-        buf = self.raw(rows * cols * 8)
-        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols)
+        """A read-only view into the file's bytes, with no slice copied."""
+        start = self._advance(rows * cols * 8)
+        return np.frombuffer(self.data, "<f8", rows * cols, start).reshape(rows, cols)
 
     def string(self) -> str:
         n = self.u64()

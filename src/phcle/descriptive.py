@@ -48,9 +48,27 @@ wrong is a ``W^T U`` that overflowed in an unobserved cell: ``inf * 0``
 leaves NaN where the masked formula has 0. That NaN reaches the gradient
 and the sum of squares, so those are checked late, and only a non-finite
 one clears the unobserved cells and is computed again.
+
+A solve runs over only the labels the table observes. A label with no
+observed cell has a +0.0 residual row whatever U is, so its column of W
+adds nothing to the loss in U. Each block finds its kept rows once, when it
+is built, and each solve gathers ``W[:, kept]``, ``A_obs[kept]`` and
+``observed[kept]``, holds them for that solve only, and computes in the
+start of the same shared buffer; a copy kept for the whole run would hold
+one more ``labels x attrs`` array at the peak. ``L`` still comes from the
+full ``W``, so the step is the one the whole block takes. ``W^T U`` on a
+kept row is the same dot product as before, but ``W R`` and the misfit's
+sum no longer add the dropped rows' zeros, so their bits, and the
+iterates', can change by rounding; the exact values do not. Nor does a
+dropped row form ``W^T U`` any more, so an overflow there raises no
+warning. A block that observes every label skips the gather and solves on
+itself, bit for bit as before. The objective term and the W gradient
+always run over all labels.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -63,7 +81,9 @@ class DescriptiveBlock:
     """One descriptive context, float64 ``(A, I)`` at ``weight``, prepared
     once: its residuals, objective term, gradients and the solve of its
     attribute factor ``factor``. It computes in ``buf``, a flat float64
-    array of at least ``A.size`` elements, or else in one of its own."""
+    array of at least ``A.size`` elements, or else in one of its own.
+    ``kept`` holds the label rows with an observed cell, or None when
+    every row has one."""
 
     def __init__(self, A, I, weight: float, n_labels: int, index: int = 0, buf=None, factor=None):
         if A.shape != I.shape:
@@ -76,6 +96,8 @@ class DescriptiveBlock:
         positive_zeros = not (hidden.any() or np.signbit(hidden).any())
         self.A_obs = A if positive_zeros else np.where(self.observed, A, 0.0)
         self.buf = (np.empty(A.size) if buf is None else buf)[: A.size].reshape(A.shape)
+        kept = np.flatnonzero(self.observed.any(axis=1))
+        self.kept = None if kept.size == n_labels else kept
 
     def of(self, W, U) -> np.ndarray:
         """The buffer, set to ``A - W^T U`` on observed cells and +0.0
@@ -125,10 +147,24 @@ class DescriptiveBlock:
         return iterations
 
     def solve(self, W, U_init, hyper):
-        """The solve of :func:`fista_solve_U` at the block's weight."""
+        """The solve of :func:`fista_solve_U` at the block's weight, over the
+        kept label rows, with ``L`` from the full ``W``."""
+        L = lipschitz_bound(W, self.weight)
+        if self.kept is None:
+            return self._fista(W, U_init, hyper, L)
+        return self._on_kept_rows()._fista(W[:, self.kept], U_init, hyper, L)
+
+    def _on_kept_rows(self):
+        """This block over its kept label rows, gathered for one solve and
+        computing in the start of the same buffer."""
+        part = copy.copy(self)
+        part.A_obs, part.observed, part.kept = self.A_obs[self.kept], self.observed[self.kept], None
+        part.buf = self.buf.reshape(-1)[: part.A_obs.size].reshape(part.A_obs.shape)
+        return part
+
+    def _fista(self, W, U_init, hyper, L):
         U_prev = np.array(U_init, copy=True)
         lambda2, lambda3 = hyper.lambda2, hyper.lambda3
-        L = lipschitz_bound(W, self.weight)
         G_prev = self.grad_U(W, U_prev)
         F_prev = _add_penalties(self._squared_sum(), U_prev, lambda2, lambda3)
         best_U, best_F = U_prev.copy(), F_prev
@@ -239,7 +275,9 @@ def fista_solve_U(A, I, W, U_init, hyper):
     :func:`lipschitz_bound`, and a relative-decrease stopping rule on the
     subproblem objective (threshold ``hyper.tolerance``, budget
     ``hyper.inner_max_iter``); a step costs two ``labels x attrs``
-    products (see the module docstring). The descriptive weight is
+    products, over only the labels with an observed cell, while ``L``
+    comes from the full ``W``; dropping the other labels changes the bits
+    by rounding only (see the module docstring). The descriptive weight is
     ``hyper.lambda1``. Returns ``(U, iterations_used, objective)`` for the
     best iterate seen, so the objective never exceeds the value at
     ``U_init``.

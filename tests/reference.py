@@ -3,8 +3,9 @@
 No command of ``phcle`` calls these, so they are not part of the package:
 each is kept here as it was written there, next to the private helpers of
 ``phcle`` it is built on, and the tests check the shipped code against it.
-Under ``cli`` is the co-occurrence writer as it was before the byte
-gather replaced it.
+Under ``descriptive`` is the block as it was before its solve ran over
+only the labels its table observes, and under ``cli`` the co-occurrence
+writer as it was before the byte gather replaced it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from phcle.datamodel import (
     _frozen_array,
     format_float,
 )
-from phcle.descriptive import _add_penalties, descriptive_objective
+from phcle.descriptive import _add_penalties, _prox, descriptive_objective, lipschitz_bound
+from phcle.errors import DivergenceError
 from phcle.evaluation import NORM_FLOOR
 from phcle.ingest import _check_relation, _relation_lines
 from phcle.relational import _softplus_inplace
@@ -150,6 +152,108 @@ def expected_cooccurrence(Q, C, W) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # descriptive
+
+
+class DescriptiveBlock:
+    """One descriptive context, float64 ``(A, I)`` at ``weight``, prepared
+    once: its residuals, objective term, gradients and the solve of its
+    attribute factor ``factor``. It computes in ``buf``, a flat float64
+    array of at least ``A.size`` elements, or else in one of its own."""
+
+    def __init__(self, A, I, weight: float, n_labels: int, index: int = 0, buf=None, factor=None):
+        if A.shape != I.shape:
+            raise ValueError(f"descriptive context {index}: assoc {A.shape} and mask {I.shape} differ")
+        if A.ndim != 2 or A.shape[0] != n_labels:
+            raise ValueError(f"descriptive context {index} has shape {A.shape}, expected {n_labels} label rows")
+        self.name, self.weight, self.factor = f"U[{index}]", weight, factor
+        self.observed = I != 0
+        hidden = A[~self.observed]
+        positive_zeros = not (hidden.any() or np.signbit(hidden).any())
+        self.A_obs = A if positive_zeros else np.where(self.observed, A, 0.0)
+        self.buf = (np.empty(A.size) if buf is None else buf)[: A.size].reshape(A.shape)
+
+    def of(self, W, U) -> np.ndarray:
+        """The buffer, set to ``A - W^T U`` on observed cells and +0.0
+        elsewhere, or NaN where ``W^T U`` overflowed in an unobserved cell."""
+        buf = self.buf
+        np.matmul(W.T, U, out=buf)
+        with np.errstate(invalid="ignore"):  # inf * 0; the masked formula never forms it
+            buf *= self.observed
+        return np.subtract(self.A_obs, buf, out=buf)
+
+    def clear_unobserved(self) -> np.ndarray:
+        np.copyto(self.buf, 0.0, where=~self.observed)
+        return self.buf
+
+    def term(self, W) -> float:
+        """``(weight / 2) * ||masked residual||_F^2`` at the block's factor."""
+        self.of(W, self.factor)
+        return self._squared_sum()
+
+    def residual(self, W, U) -> np.ndarray:
+        """:meth:`of`, with the unobserved cells cleared if any cell is not finite."""
+        R = self.of(W, U)
+        return R if np.isfinite(R).all() else self.clear_unobserved()
+
+    def grad_W(self, W) -> np.ndarray:
+        """Gradient of the loss in W at the block's factor: ``-weight * U R^T``."""
+        return -self.weight * (self.factor @ self.residual(W, self.factor).T)
+
+    def grad_U(self, W, U) -> np.ndarray:
+        """Gradient of the loss in U, ``-weight * W R``, leaving R in the
+        buffer (cleared if the first product was not finite)."""
+        G = -self.weight * (W @ self.of(W, U))
+        if not np.isfinite(G).all():
+            G = -self.weight * (W @ self.clear_unobserved())
+        return G
+
+    def _squared_sum(self) -> float:
+        R = self.buf
+        total = np.sum(np.multiply(R, R, out=R))
+        if not np.isfinite(total):
+            total = np.sum(self.clear_unobserved())
+        return 0.5 * self.weight * float(total)
+
+    def update(self, W, hyper) -> int:
+        """Re-solve the factor against ``W``; returns the FISTA iterations."""
+        self.factor, iterations, _ = self.solve(W, self.factor, hyper)
+        return iterations
+
+    def solve(self, W, U_init, hyper):
+        """The solve of :func:`fista_solve_U` at the block's weight."""
+        U_prev = np.array(U_init, copy=True)
+        lambda2, lambda3 = hyper.lambda2, hyper.lambda3
+        L = lipschitz_bound(W, self.weight)
+        G_prev = self.grad_U(W, U_prev)
+        F_prev = _add_penalties(self._squared_sum(), U_prev, lambda2, lambda3)
+        best_U, best_F = U_prev.copy(), F_prev
+        Z, grad_Z = U_prev, G_prev
+        t = 1.0
+        iterations = 0
+        for j in range(1, hyper.inner_max_iter + 1):
+            step = Z - grad_Z / L
+            U_new = _prox(step, L, lambda2, lambda3)
+            if not np.isfinite(U_new).all():
+                raise DivergenceError(j, f"non-finite iterate at inner iteration {j}")
+            iterations = j
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            Z = U_new + beta * (U_new - U_prev)
+            t = t_next
+            if j < hyper.inner_max_iter:
+                G_new = self.grad_U(W, U_new)
+                grad_Z = G_new + beta * (G_new - G_prev)
+                G_prev = G_new
+            else:  # the budget ends here, so no step needs the gradient
+                self.of(W, U_new)
+            F_new = _add_penalties(self._squared_sum(), U_new, lambda2, lambda3)
+            if F_new < best_F:
+                best_U, best_F = U_new.copy(), F_new
+            rel_change = abs(F_prev - F_new) / max(abs(F_new), 1e-12)
+            U_prev, F_prev = U_new, F_new
+            if rel_change < hyper.tolerance:
+                break
+        return best_U, iterations, best_F
 
 
 def elastic_net_objective(A, I, W, U, weight, lambda2, lambda3) -> float:

@@ -32,6 +32,8 @@ from phcle.evaluation import (
     describe_embedding,
     retrieve_labels,
 )
+from phcle import trainer
+from reference import DescriptiveBlock as OldDescriptiveBlock
 from reference import RelationRecord, build_cooccurrence, load_relation_file
 
 RELATIONS = "cat\tfarm\ncat\tfarm\ncow\tfarm\t2\ndog\thome\ncat\thome\t0.5\n"
@@ -968,6 +970,38 @@ class TestGridSearch:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: grid search supports a single descriptive context\n"
+
+
+class TestTablesMissingLabels:
+    """train on a table that lists no label, or only one, of the three: the
+    model matches a run of the old block, which solved over every label."""
+
+    @pytest.mark.parametrize(
+        "table", ["label\tlegs\ttail\n", "label\tlegs\ttail\ncow\t4\tNA\n"], ids=["header-only", "one-row"]
+    )
+    def test_train_matches_the_old_block(self, workspace, capsys, monkeypatch, table):
+        (workspace / "attrs.tsv").write_text(table)
+        cooc = workspace / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
+
+        def train(out):
+            argv = ["train", "--cooc", str(cooc), "--attrs", str(workspace / "attrs.tsv")]
+            assert main(argv + ["--config", str(workspace / "config"), "--out", str(out)]) == 0
+            model = load_model(out)[0]
+            history = np.loadtxt(f"{out}.history.tsv", skiprows=1, ndmin=2)
+            return (model.W, model.C, model.U), history
+
+        got, history = train(workspace / "new.bin")
+        monkeypatch.setattr(trainer, "DescriptiveBlock", OldDescriptiveBlock)
+        want, old_history = train(workspace / "old.bin")
+        for factor, old in zip(got, want):
+            assert np.max(np.abs(factor - old)) <= 1e-10 * np.max(np.abs(old))
+        # iteration and FISTA iteration columns, then the objective terms
+        assert np.array_equal(history[:, [0, 7]], old_history[:, [0, 7]])
+        assert np.allclose(history[:, 1:7], old_history[:, 1:7], rtol=1e-12, atol=0.0)
+        capsys.readouterr()
+        assert main(["retrieve", "--model", str(workspace / "new.bin"), "--query", "cat", "--tsv"]) == 0
+        assert sorted(line.split("\t")[0] for line in capsys.readouterr().out.splitlines()) == ["cow", "dog"]
 
 
 class TestTrainAttributePaths:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ class TestTextEmbeddings:
         for j, name in enumerate(vocab.labels):
             assert np.array_equal(table[name], model.W[:, j])
 
+    def test_bytes_match_the_per_value_formatter(self, tmp_path):
+        # Each label's row comes from W.T.tolist(); its text is that of the
+        # np.float64 values formatted one at a time, as they were before.
+        W = np.array([[1.0, 1e16], [-0.0, 1e-300], [5e-324, np.pi]])
+        model = EmbeddingModel(W=W, Cs=(np.zeros((3, 1)),), Us=(np.zeros((3, 0)),), dim=3)
+        path = tmp_path / "emb.txt"
+        save_embeddings(model, ("a", "b"), path)
+        old = "2 3\n" + "".join(
+            f"{name} {' '.join(format_float(v) for v in W[:, j])}\n" for j, name in enumerate("ab")
+        )
+        assert path.read_bytes() == old.encode()
+        assert old == "2 3\na 1 -0 5e-324\nb 1e+16 1e-300 3.141592653589793\n"
+
     def test_whitespace_name_rejected(self, tmp_path):
         model = init_model(VocabularyMaps(labels=("a",), context_lists=(("x",),)), dim=1)
         with pytest.raises(ValueError, match="whitespace"):
@@ -313,6 +327,29 @@ class TestBinaryModel:
             clipped.write_bytes(data[:cut])
             with pytest.raises(ParseError, match="truncated"):
                 load_model(clipped)
+
+    def test_load_peaks_near_twice_the_file(self, tmp_path):
+        # The file's bytes and each factor's frozen copy: the factors are
+        # read as views of the bytes, with no slice of them in between. The
+        # shape is the dense benchmark model's, 3.3 MB.
+        rng = np.random.default_rng(4)
+        vocab = VocabularyMaps(
+            labels=tuple(f"l{i}" for i in range(2000)),
+            context_lists=(tuple(f"c{i}" for i in range(2000)),),
+            attribute_lists=(tuple(f"a{i}" for i in range(50)),),
+        )
+        factors = [rng.standard_normal((100, n)) for n in (2000, 2000, 50)]
+        model = EmbeddingModel(W=factors[0], Cs=(factors[1],), Us=(factors[2],), dim=100)
+        path = tmp_path / "m.bin"
+        save_model(path, model, vocab, HyperParams(dim=100))
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * path.stat().st_size
+        assert np.array_equal(loaded.W, model.W) and loaded.W.flags.owndata
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, vocab, hyper = self.make()

@@ -19,6 +19,7 @@ from phcle.descriptive import (
     prox_elastic_net,
 )
 from phcle.errors import DivergenceError
+from reference import DescriptiveBlock as OldDescriptiveBlock
 from reference import elastic_net_objective
 
 
@@ -366,14 +367,15 @@ def ref_elastic_net_objective(A, I, W, U, weight, lambda2, lambda3):
     )
 
 
-def ref_fista_solve_U(A, I, W, U_init, hyper):
+def ref_fista_solve_U(A, I, W, U_init, hyper, L=None):
     A = np.asarray(A, dtype=np.float64)
     I = np.asarray(I, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     U_prev = np.array(U_init, dtype=np.float64, copy=True)
 
     weight, lambda2, lambda3 = hyper.lambda1, hyper.lambda2, hyper.lambda3
-    L = lipschitz_bound(W, weight)
+    if L is None:  # the one change: a solve over some rows takes L from all of W
+        L = lipschitz_bound(W, weight)
     Z = U_prev.copy()
     t = 1.0
     F_prev = ref_elastic_net_objective(A, I, W, U_prev, weight, lambda2, lambda3)
@@ -396,6 +398,20 @@ def ref_fista_solve_U(A, I, W, U_init, hyper):
         if rel_change < hyper.tolerance:
             break
     return best_U, iterations, best_F
+
+
+def drops_rows(I):
+    """Whether some label row of ``I`` has no observed cell."""
+    return not (np.asarray(I) != 0).any(axis=1).all()
+
+
+def ref_solve_on_kept_rows(A, I, W, U_init, hyper):
+    """The reference loop over the label rows with an observed cell, with
+    ``L`` from the full ``W``: the solve a block with dropped rows runs."""
+    A, I, W = (np.asarray(x, dtype=np.float64) for x in (A, I, W))
+    kept = (I != 0).any(axis=1)
+    L = lipschitz_bound(W, hyper.lambda1)
+    return ref_fista_solve_U(A[kept], I[kept], W[:, kept], U_init, hyper, L=L)
 
 
 def assert_same_bits(got, want):
@@ -569,17 +585,96 @@ class TestBufferedResidualOracle:
         [(1e-200, False), (1.0, True)],
     )
     def test_overflow_in_unobserved_cell_solve_matches_reference(self, weight, diverges):
+        # The solve drops label 0, so it never forms the overflowing cell:
+        # its reference is the loop over the kept rows, warnings included.
         A, I, W, U0 = self.overflow_instance()
+        assert drops_rows(I)
         h = fista_hyper(lambda1=weight, inner_max_iter=6, tolerance=1e-12)
         with warnings.catch_warnings(record=True) as ref_warned:
             warnings.simplefilter("always")
-            want = solve_outcome(ref_fista_solve_U, A, I, W, U0, h)
+            want = solve_outcome(ref_solve_on_kept_rows, A, I, W, U0, h)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             got = solve_outcome(fista_solve_U, A, I, W, U0, h)
         assert (len(want) == 2) == diverges
         assert_same_outcome(got, want)
         assert {str(w.message) for w in warned} == {str(w.message) for w in ref_warned}
+        assert "overflow encountered in matmul" not in {str(w.message) for w in warned}
+
+
+def partial_instance(seed, dropped, labels=40, attrs=9, dim=4):
+    """A noisy rank-``dim`` table with 60% of its cells observed and a
+    ``dropped`` share of its label rows wholly unobserved; every other row
+    has an observed cell. Unobserved cells hold NaN, +-inf and 1e308
+    placeholders, and the noise keeps the optimum away from a perfect fit."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((dim, labels))
+    A = W.T @ rng.standard_normal((dim, attrs)) + rng.standard_normal((labels, attrs))
+    I = (rng.uniform(size=A.shape) < 0.6).astype(float)
+    I[np.arange(labels), rng.integers(0, attrs, labels)] = 1.0
+    I[rng.permutation(labels)[: round(dropped * labels)]] = 0.0
+    hidden = np.flatnonzero(I == 0)
+    A.flat[hidden] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=hidden.size)
+    U = rng.standard_normal((dim, attrs))
+    return A, I, W, U
+
+
+class TestKeptRowsOracle:
+    """The block solves over only its observed label rows; the block as it
+    was, which solved over all of them, is the oracle."""
+
+    @pytest.mark.parametrize("dropped", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "budget, tolerance", [(500, 1e-4), (15, 1e-30)], ids=["early-stop", "budget"]
+    )
+    def test_solve_matches_the_old_block(self, dropped, seed, budget, tolerance):
+        A, I, W, U0 = partial_instance(400 + seed, dropped)
+        h = fista_hyper(lambda1=0.7, inner_max_iter=budget, tolerance=tolerance)
+        block, old = DescriptiveBlock(A, I, 0.7, W.shape[1]), OldDescriptiveBlock(A, I, 0.7, W.shape[1])
+        kept = np.flatnonzero((I != 0).any(axis=1))
+        assert kept.size == round((1 - dropped) * W.shape[1])
+        assert block.kept is None if dropped == 0 else np.array_equal(block.kept, kept)
+        got, warned = solve_with_warnings(block.solve, W, U0, h)
+        want, old_warned = solve_with_warnings(old.solve, W, U0, h)
+        assert len(want) == 3
+        assert_close_outcome(got, want)
+        assert warned == old_warned
+        if dropped < 1:
+            assert want[2] > 1e-3
+        if dropped in (0, 1):
+            # No gather at 0; at 1 every gradient is zero, and the solve
+            # only shrinks U toward its optimum 0 (an objective of 0, where
+            # a relative bound would mean nothing), so the bits agree.
+            assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("dropped", [0.0, 0.2, 1.0])
+    def test_term_and_W_gradient_keep_their_bits(self, dropped):
+        A, I, W, U = partial_instance(500, dropped)
+        block, old = DescriptiveBlock(A, I, 0.7, W.shape[1]), OldDescriptiveBlock(A, I, 0.7, W.shape[1])
+        block.factor = old.factor = U
+        assert_same_bits(block.term(W), old.term(W))
+        G = block.grad_W(W)
+        assert_same_bits(G, old.grad_W(W))
+        # A dropped label's column is -0.7 times a product of +0.0 rows: -0.0.
+        dropped_rows = ~(I != 0).any(axis=1)
+        assert np.all(G[:, dropped_rows] == 0.0) and np.signbit(G[:, dropped_rows]).all()
+
+    def test_kept_rows_live_only_for_one_solve(self):
+        # The gathered rows compute in the start of the block's own buffer,
+        # and a solve leaves the block holding what it held before.
+        A, I, W, U = partial_instance(501, 0.2)
+        A[I == 0] = 0.0
+        shared = np.empty(A.size + 5)
+        block = DescriptiveBlock(A, I, 1.0, W.shape[1], buf=shared)
+        before = dict(vars(block))
+        part = block._on_kept_rows()
+        assert part.buf.shape == part.A_obs.shape == (block.kept.size, A.shape[1])
+        assert np.shares_memory(part.buf, shared) and part.buf.ctypes.data == shared.ctypes.data
+        assert block.A_obs is A
+        block.solve(W, U, fista_hyper())
+        assert vars(block).keys() == before.keys()
+        assert all(vars(block)[key] is value for key, value in before.items())
 
 
 finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -607,12 +702,14 @@ def test_property_residual_and_solve_match_reference(data):
     with np.errstate(all="ignore"):
         want = solve_outcome(ref_fista_solve_U, A, I, W, U0, h)
         got = solve_outcome(fista_solve_U, A, I, W, U0, h)
-        # The first two steps take their gradients as the reference does.
+        # The first two steps take their gradients as the reference does,
+        # over the kept rows where a label is never observed.
+        ref_solve = ref_solve_on_kept_rows if drops_rows(I) else ref_fista_solve_U
         for budget in (1, 2):
             short = replace(h, inner_max_iter=budget)
             assert_same_outcome(
                 solve_outcome(fista_solve_U, A, I, W, U0, short),
-                solve_outcome(ref_fista_solve_U, A, I, W, U0, short),
+                solve_outcome(ref_solve, A, I, W, U0, short),
             )
     # Iteration counts are pinned on the fixed instances only: an exact-zero
     # relative change (the 1e-30 tolerance) is a rounding-level stop.

@@ -8,7 +8,9 @@ from phcle.descriptive import descriptive_objective, fista_solve_U, grad_W_descr
 from phcle.errors import DivergenceError
 from phcle.ingest import negative_bound_values
 from phcle.relational import emf_objective, grad_C, grad_W_relational
+from phcle import trainer
 from phcle.trainer import HistoryRecord, TrainingHistory, train, train_generalized
+from reference import DescriptiveBlock as OldDescriptiveBlock
 
 
 def small_instance(seed=0, labels=6, contexts=5, attrs=4):
@@ -326,3 +328,34 @@ class TestEngineOracle:
         assert [C.tobytes() for C in model.Cs] == [C.tobytes() for C in Cs]
         assert [U.tobytes() for U in model.Us] == [U.tobytes() for U in Us]
         assert numeric_history(history) == rows
+
+
+def assert_close_runs(got, want):
+    """Two runs agree to rounding: factors within 1e-10 of their largest
+    entry, the same FISTA iterations, objective terms within 1e-12."""
+    (model, history), (old_model, old_history) = got, want
+    for factor, old in zip((model.W, *model.Cs, *model.Us), (old_model.W, *old_model.Cs, *old_model.Us)):
+        assert np.max(np.abs(factor - old), initial=0.0) <= 1e-10 * np.max(np.abs(old), initial=0.0)
+    for row, old in zip(numeric_history(history), numeric_history(old_history), strict=True):
+        assert row[0] == old[0] and row[-1] == old[-1]
+        assert np.allclose(row[1:-1], old[1:-1], rtol=1e-12, atol=0.0)
+
+
+class TestPartialTables:
+    """A table that observes few labels or none, against the old block,
+    which solved over every label."""
+
+    @pytest.mark.parametrize("observed_rows", [0, 1], ids=["header-only", "one-row"])
+    def test_train_generalized_matches_the_old_block(self, observed_rows, monkeypatch):
+        D, A, I, _ = small_instance(21, labels=30, contexts=8, attrs=5)
+        # What the reader builds for a table listing no label, or one label
+        # with one cell missing.
+        A2, I2 = np.zeros((30, 3)), np.zeros((30, 3))
+        if observed_rows:
+            A2[17], I2[17] = (2.5, 0.0, -1.0), (1.0, 0.0, 1.0)
+        hyper = small_hyper(beta=(0.6, 0.4), inner_max_iter=20, init_scheme="uniform_random(0.5)")
+        got = train_generalized([D], [(A, I), (A2, I2)], hyper)
+        monkeypatch.setattr(trainer, "DescriptiveBlock", OldDescriptiveBlock)
+        want = train_generalized([D], [(A, I), (A2, I2)], hyper)
+        assert_close_runs(got, want)
+        assert got[1].records[-1].fista_iterations > 0
