@@ -345,7 +345,7 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
             raise ValueError(f"label name {name!r} contains whitespace, not storable in text format")
     lines = [f"{len(labels)} {model.dim}"]
     # Python floats, one list per label: format_float of each is the same
-    # text as of the np.float64 it came from, and quicker to make.
+    # text as of the np.float64 it came from.
     for name, vec in zip(labels, model.W.T.tolist()):
         lines.append(f"{name} {' '.join(map(format_float, vec))}")
     with _atomic_open(path) as fh:

@@ -49,21 +49,16 @@ leaves NaN where the masked formula has 0. That NaN reaches the gradient
 and the sum of squares, so those are checked late, and only a non-finite
 one clears the unobserved cells and is computed again.
 
-A solve runs over only the labels the table observes. A label with no
-observed cell has a +0.0 residual row whatever U is, so its column of W
-adds nothing to the loss in U. Each block finds its kept rows once, when it
-is built, and each solve gathers ``W[:, kept]``, ``A_obs[kept]`` and
-``observed[kept]``, holds them for that solve only, and computes in the
-start of the same shared buffer; a copy kept for the whole run would hold
-one more ``labels x attrs`` array at the peak. ``L`` still comes from the
-full ``W``, so the step is the one the whole block takes. ``W^T U`` on a
-kept row is the same dot product as before, but ``W R`` and the misfit's
-sum no longer add the dropped rows' zeros, so their bits, and the
-iterates', can change by rounding; the exact values do not. Nor does a
-dropped row form ``W^T U`` any more, so an overflow there raises no
-warning. A block that observes every label skips the gather and solves on
-itself, bit for bit as before. The objective term and the W gradient
-always run over all labels.
+A solve runs over only the label rows with an observed cell: a row with
+none has a +0.0 residual whatever U is, so its column of W adds nothing to
+the loss in U. The rows are gathered afresh for each solve rather than
+stored, as a copy kept for the whole run would add one more
+``labels x attrs`` array at the peak. ``L`` still comes from the full
+``W``, so the step is the one the whole block takes. ``W R`` and the
+misfit's sum no longer add the dropped rows' zeros, so their bits, and the
+iterates', can change by rounding; the exact values do not. A dropped row
+no longer forms ``W^T U``, so an overflow there raises no warning. When
+every row is observed the gather is a view, and the solve keeps its bits.
 """
 
 from __future__ import annotations
@@ -82,8 +77,8 @@ class DescriptiveBlock:
     once: its residuals, objective term, gradients and the solve of its
     attribute factor ``factor``. It computes in ``buf``, a flat float64
     array of at least ``A.size`` elements, or else in one of its own.
-    ``kept`` holds the label rows with an observed cell, or None when
-    every row has one."""
+    ``kept`` indexes the label rows with an observed cell: all of them, as
+    a slice, when every row has one."""
 
     def __init__(self, A, I, weight: float, n_labels: int, index: int = 0, buf=None, factor=None):
         if A.shape != I.shape:
@@ -97,7 +92,7 @@ class DescriptiveBlock:
         self.A_obs = A if positive_zeros else np.where(self.observed, A, 0.0)
         self.buf = (np.empty(A.size) if buf is None else buf)[: A.size].reshape(A.shape)
         kept = np.flatnonzero(self.observed.any(axis=1))
-        self.kept = None if kept.size == n_labels else kept
+        self.kept = slice(None) if kept.size == n_labels else kept
 
     def of(self, W, U) -> np.ndarray:
         """The buffer, set to ``A - W^T U`` on observed cells and +0.0
@@ -150,15 +145,13 @@ class DescriptiveBlock:
         """The solve of :func:`fista_solve_U` at the block's weight, over the
         kept label rows, with ``L`` from the full ``W``."""
         L = lipschitz_bound(W, self.weight)
-        if self.kept is None:
-            return self._fista(W, U_init, hyper, L)
         return self._on_kept_rows()._fista(W[:, self.kept], U_init, hyper, L)
 
     def _on_kept_rows(self):
-        """This block over its kept label rows, gathered for one solve and
-        computing in the start of the same buffer."""
+        """This block over its kept label rows, computing in the start of
+        the same buffer."""
         part = copy.copy(self)
-        part.A_obs, part.observed, part.kept = self.A_obs[self.kept], self.observed[self.kept], None
+        part.A_obs, part.observed = self.A_obs[self.kept], self.observed[self.kept]
         part.buf = self.buf.reshape(-1)[: part.A_obs.size].reshape(part.A_obs.shape)
         return part
 
@@ -276,11 +269,10 @@ def fista_solve_U(A, I, W, U_init, hyper):
     subproblem objective (threshold ``hyper.tolerance``, budget
     ``hyper.inner_max_iter``); a step costs two ``labels x attrs``
     products, over only the labels with an observed cell, while ``L``
-    comes from the full ``W``; dropping the other labels changes the bits
-    by rounding only (see the module docstring). The descriptive weight is
-    ``hyper.lambda1``. Returns ``(U, iterations_used, objective)`` for the
-    best iterate seen, so the objective never exceeds the value at
-    ``U_init``.
+    comes from the full ``W`` (see the module docstring). The descriptive
+    weight is ``hyper.lambda1``. Returns ``(U, iterations_used,
+    objective)`` for the best iterate seen, so the objective never exceeds
+    the value at ``U_init``.
     """
     block, W = _block(A, I, W, U_init, hyper.lambda1)
     return block.solve(W, block.factor, hyper)

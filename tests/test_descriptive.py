@@ -557,13 +557,14 @@ class TestBufferedResidualOracle:
             assert_same_bits(after, before)
 
     @staticmethod
-    def overflow_instance():
-        # Label 0 is never observed and W^T U overflows to inf in its first
-        # cell; inf * 0 in the buffered residual would leave NaN there.
+    def overflow_instance(first_row_observed=False):
+        # W^T U overflows to inf in the first cell of label 0, which is
+        # unobserved; inf * 0 in the buffered residual would leave NaN
+        # there. Label 0 is never observed unless its second cell is.
         W = np.array([[1e76, 0.0, 0.0], [0.0, 1.0, -0.5]])
         U = np.array([[1e240, 0.0], [0.3, -0.2]])
         A = np.array([[np.nan, 7.0], [0.5, 1.0], [-1.0, 2.0]])
-        I = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        I = np.array([[0.0, float(first_row_observed)], [1.0, 1.0], [1.0, 1.0]])
         with np.errstate(over="ignore"):
             assert np.isposinf(W.T @ U)[0, 0]
         return A, I, W, U
@@ -578,28 +579,33 @@ class TestBufferedResidualOracle:
             assert_same_bits(grad_W_descriptive(A, I, W, U, 0.5), ref_grad_W_descriptive(A, I, W, U, 0.5))
             assert_same_bits(grad_U_smooth(A, I, W, U, 0.5), ref_grad_U_smooth(A, I, W, U, 0.5))
 
+    @pytest.mark.parametrize("first_row_observed", [False, True], ids=["row-dropped", "row-kept"])
     @pytest.mark.parametrize(
         "weight, diverges",
         # L = weight * 1e152 (floored at 1e-12): with weight 1 the prox
         # overflows at the first step; a tiny weight keeps L * |U| finite.
         [(1e-200, False), (1.0, True)],
     )
-    def test_overflow_in_unobserved_cell_solve_matches_reference(self, weight, diverges):
-        # The solve drops label 0, so it never forms the overflowing cell:
-        # its reference is the loop over the kept rows, warnings included.
-        A, I, W, U0 = self.overflow_instance()
-        assert drops_rows(I)
+    def test_overflow_in_unobserved_cell_solve_matches_reference(self, weight, diverges, first_row_observed):
+        # A solve that drops label 0 never forms the overflowing cell: its
+        # reference is the loop over the kept rows, warnings included. One
+        # that keeps label 0 overflows there and clears the NaN it leaves,
+        # as the full-label loop does.
+        A, I, W, U0 = self.overflow_instance(first_row_observed)
+        assert drops_rows(I) != first_row_observed
+        ref_solve = ref_fista_solve_U if first_row_observed else ref_solve_on_kept_rows
         h = fista_hyper(lambda1=weight, inner_max_iter=6, tolerance=1e-12)
         with warnings.catch_warnings(record=True) as ref_warned:
             warnings.simplefilter("always")
-            want = solve_outcome(ref_solve_on_kept_rows, A, I, W, U0, h)
+            want = solve_outcome(ref_solve, A, I, W, U0, h)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             got = solve_outcome(fista_solve_U, A, I, W, U0, h)
         assert (len(want) == 2) == diverges
         assert_same_outcome(got, want)
-        assert {str(w.message) for w in warned} == {str(w.message) for w in ref_warned}
-        assert "overflow encountered in matmul" not in {str(w.message) for w in warned}
+        messages = {str(w.message) for w in warned}
+        assert messages == {str(w.message) for w in ref_warned}
+        assert ("overflow encountered in matmul" in messages) == first_row_observed
 
 
 def partial_instance(seed, dropped, labels=40, attrs=9, dim=4):
@@ -634,7 +640,7 @@ class TestKeptRowsOracle:
         block, old = DescriptiveBlock(A, I, 0.7, W.shape[1]), OldDescriptiveBlock(A, I, 0.7, W.shape[1])
         kept = np.flatnonzero((I != 0).any(axis=1))
         assert kept.size == round((1 - dropped) * W.shape[1])
-        assert block.kept is None if dropped == 0 else np.array_equal(block.kept, kept)
+        assert block.kept == slice(None) if dropped == 0 else np.array_equal(block.kept, kept)
         got, warned = solve_with_warnings(block.solve, W, U0, h)
         want, old_warned = solve_with_warnings(old.solve, W, U0, h)
         assert len(want) == 3
