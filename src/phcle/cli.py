@@ -47,7 +47,7 @@ from .ingest import (
     load_relation_counts,
     read_attribute_names,
 )
-from .trainer import train, train_generalized
+from .trainer import train_generalized
 
 # Each config key (key=value lines, '#' comments) and the HyperParams field
 # it sets, in the order the defaults are noted and the values are checked.
@@ -227,8 +227,6 @@ def _run_scorer(command: str, model_path) -> float:
 
 
 def cmd_train(args) -> int:
-    if args.grid_search is not None and len(args.attrs) > 1:
-        raise ValueError("grid search supports a single descriptive context")
     for path in args.attrs:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError(
@@ -239,15 +237,13 @@ def cmd_train(args) -> int:
     hyper = load_config(args.config)
     attr_names = [read_attribute_names(path) for path in args.attrs]
     vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, attr_names)
-    contexts_list = [
+    tables = [
         load_attribute_table(path, replace(vocab, attribute_lists=(names,)))
         for path, names in zip(args.attrs, attr_names)
     ]
 
     def fit(h: HyperParams):
-        if len(contexts_list) > 1:
-            return train_generalized([D], contexts_list, h)
-        return train(D, contexts_list[0].assoc, contexts_list[0].mask, h, vocab)
+        return train_generalized([D], tables, h)
 
     if args.grid_search is None:
         model, history = fit(hyper)

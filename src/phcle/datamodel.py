@@ -69,17 +69,21 @@ def _atomic_open(path, mode="w"):
     it was. The temp file is made by plain ``open``, so its permissions
     follow the umask like any new file.
     """
-    directory, name = os.path.split(os.fspath(path))
+    target = os.fspath(path)
+    directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
-        exc.filename = os.fspath(path)  # name the file asked for, not the temp file
+        exc.filename = target  # name the file asked for, not the temp file
         raise
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:  # name the target alone, not "tmp -> target"
+            raise OSError(exc.errno, exc.strerror, target) from None
     except BaseException:
         os.remove(tmp)
         raise
@@ -243,10 +247,18 @@ def _simplex_weights(values, name):
     return weights
 
 
+# The hyperparameter block that ends a model file: these fields in this
+# order, then init_scheme, alpha and beta.
+_HYPER_F64 = ("lambda1", "lambda2", "lambda3", "step_size", "tolerance")
+_HYPER_I64 = ("negative_samples", "outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "seed", "dim")
+
+
 @dataclass(frozen=True)
 class HyperParams:
-    """Training knobs. ``lambda1`` weighs the descriptive misfit,
-    ``lambda2`` the l1 penalty, and ``lambda3`` the l2 penalty."""
+    """Training knobs. Relational context i is weighted by ``alpha[i]`` and
+    descriptive context j by ``lambda1 * beta[j]``, so ``lambda1`` scales
+    every descriptive misfit; ``lambda2`` weighs the l1 penalty and
+    ``lambda3`` the l2 penalty."""
 
     lambda1: float = 1.0
     lambda2: float = 0.01
@@ -265,23 +277,21 @@ class HyperParams:
     beta: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3"):
+        for name in ("lambda1", "lambda2", "lambda3", "negative_samples", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.negative_samples < 0:
-            raise ValueError("negative_samples must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        for name in ("lambda1", "lambda2", "lambda3", "step_size", "tolerance"):
+        for name in ("step_size", "tolerance"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in _HYPER_F64:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         for name in ("outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in _HYPER_I64:  # a model file stores each as an int64
+            if getattr(self, name) > 2**63 - 1:
+                raise ValueError(f"{name} must be <= {2**63 - 1}")
         parse_init_scheme(self.init_scheme)
         object.__setattr__(self, "alpha", _simplex_weights(self.alpha, "alpha"))
         # A negative descriptive weight would make the smooth subproblem
@@ -478,12 +488,6 @@ class _Reader:
     def expect_end(self):
         if self.pos != len(self.data):
             raise ParseError("trailing bytes after model payload", path=self.path)
-
-
-# The hyperparameter block that ends a model file: these fields in this
-# order, then init_scheme, alpha and beta.
-_HYPER_F64 = ("lambda1", "lambda2", "lambda3", "step_size", "tolerance")
-_HYPER_I64 = ("negative_samples", "outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "seed", "dim")
 
 
 def _write_hyper(w: _Writer, hyper: HyperParams):

@@ -170,55 +170,54 @@ def _train_engine(relations, descriptions, hyper: HyperParams):
     return EmbeddingModel(W=W, Cs=Cs, Us=Us, dim=hyper.dim), TrainingHistory(records=tuple(records))
 
 
-def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
-    """Fit the single relational + single descriptive context model.
+def _fit(Ds, tables, hyper: HyperParams):
+    """Train counts ``Ds`` and ``(A, I)`` pairs or :class:`AttributeContext`
+    items ``tables`` under the one weight rule: relational context i at
+    ``alpha[i]``, descriptive context j at ``lambda1 * beta[j]``."""
+    if len(hyper.alpha) != len(Ds):
+        raise ValueError(f"alpha has {len(hyper.alpha)} weights for {len(Ds)} relational contexts")
+    if len(hyper.beta) != len(tables):
+        raise ValueError(f"beta has {len(hyper.beta)} weights for {len(tables)} descriptive contexts")
+    relations = [(np.asarray(D, dtype=np.float64), a) for D, a in zip(Ds, hyper.alpha)]
+    descriptions = []
+    for item, b in zip(tables, hyper.beta):
+        A, I = (item.assoc, item.mask) if isinstance(item, AttributeContext) else item
+        descriptions.append((np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64), hyper.lambda1 * b))
+    return _train_engine(relations, descriptions, hyper)
 
-    Returns ``(EmbeddingModel, TrainingHistory)``. The descriptive loss is
-    weighted by ``hyper.lambda1``.
+
+def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
+    """Fit one relational and one descriptive context, checked against
+    ``vocab``: :func:`train_generalized` with the descriptive loss at ``lambda1``.
+
+    Returns ``(EmbeddingModel, TrainingHistory)``.
     """
-    D_arr = np.asarray(D, dtype=np.float64)
-    A_arr, I_arr = np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64)
-    if D_arr.shape != (len(vocab.contexts), len(vocab.labels)):
+    if np.shape(D) != (len(vocab.contexts), len(vocab.labels)):
         raise ValueError(
-            f"cooccurrence shape {D_arr.shape} does not match vocabulary "
+            f"cooccurrence shape {np.shape(D)} does not match vocabulary "
             f"(contexts={len(vocab.contexts)}, labels={len(vocab.labels)})"
         )
-    if A_arr.shape != (len(vocab.labels), len(vocab.attributes)):
+    if np.shape(A) != (len(vocab.labels), len(vocab.attributes)):
         raise ValueError(
-            f"attribute shape {A_arr.shape} does not match vocabulary "
+            f"attribute shape {np.shape(A)} does not match vocabulary "
             f"(labels={len(vocab.labels)}, attributes={len(vocab.attributes)})"
         )
-    return _train_engine([(D_arr, 1.0)], [(A_arr, I_arr, hyper.lambda1)], hyper)
-
-
-def _unpack_descriptive(item):
-    A, I = (item.assoc, item.mask) if isinstance(item, AttributeContext) else item
-    return np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64)
+    return _fit([D], [(A, I)], hyper)
 
 
 def train_generalized(Ds, As_with_masks, hyper: HyperParams):
     """Fit one shared label factor against several relational and several
     descriptive contexts.
 
-    ``hyper.alpha`` weighs the relational losses (nonnegative, summing
-    to 1) and ``hyper.beta`` the descriptive ones (summing to 1, taking
-    the place ``lambda1`` has in :func:`train`). With a single context of
-    each kind and ``alpha=(1,)``, ``beta=(1,)`` the run is bitwise
-    identical to ``train`` with ``lambda1=1``; ``hyper.lambda1`` itself is
-    ignored here. Each context factor is advanced with its own unweighted
+    ``hyper.alpha`` holds one weight per relational context and
+    ``hyper.beta`` one per descriptive context (each nonnegative, summing
+    to 1). Relational context i is weighted by ``alpha[i]`` and
+    descriptive context j by ``lambda1 * beta[j]``, so with one context of
+    each kind the run is bitwise identical to :func:`train` at the same
+    ``lambda1``. Each context factor is advanced with its own unweighted
     gradient (the weight only rescales that block's objective), while the
     shared factor sums the weighted contributions.
 
     Returns ``(EmbeddingModel, TrainingHistory)``.
     """
-    Ds = [np.asarray(D, dtype=np.float64) for D in Ds]
-    pairs = [_unpack_descriptive(item) for item in As_with_masks]
-    if not Ds:
-        raise ValueError("need at least one relational context")
-    if not pairs:
-        raise ValueError("need at least one descriptive context")
-    if len(hyper.alpha) != len(Ds):
-        raise ValueError(f"alpha has {len(hyper.alpha)} weights for {len(Ds)} relational contexts")
-    if len(hyper.beta) != len(pairs):
-        raise ValueError(f"beta has {len(hyper.beta)} weights for {len(pairs)} descriptive contexts")
-    return _train_engine(list(zip(Ds, hyper.alpha)), [(A, I, w) for (A, I), w in zip(pairs, hyper.beta)], hyper)
+    return _fit(list(Ds), list(As_with_masks), hyper)

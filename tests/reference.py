@@ -4,8 +4,10 @@ No command of ``phcle`` calls these, so they are not part of the package:
 each is kept here as it was written there, next to the private helpers of
 ``phcle`` it is built on, and the tests check the shipped code against it.
 Under ``descriptive`` is the block as it was before its solve ran over
-only the labels its table observes, and under ``cli`` the co-occurrence
-writer as it was before the byte gather replaced it.
+only the labels its table observes, under ``trainer`` the one-table
+``train`` as it was before it shared the weight rule of
+``train_generalized``, and under ``cli`` the co-occurrence writer as it
+was before the byte gather replaced it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from phcle.datamodel import (
     DEFAULT_INIT_SCHEME,
     EmbeddingModel,
+    HyperParams,
     VocabularyMaps,
     _atomic_open,
     _draw_factors,
@@ -28,6 +31,7 @@ from phcle.errors import DivergenceError
 from phcle.evaluation import NORM_FLOOR
 from phcle.ingest import _check_relation, _relation_lines
 from phcle.relational import _softplus_inplace
+from phcle.trainer import _train_engine
 
 # ---------------------------------------------------------------------------
 # datamodel
@@ -260,6 +264,31 @@ def elastic_net_objective(A, I, W, U, weight, lambda2, lambda3) -> float:
     """Full subproblem value: masked misfit plus both penalties on U."""
     U = np.asarray(U, dtype=np.float64)
     return _add_penalties(descriptive_objective(A, I, W, U, weight), U, lambda2, lambda3)
+
+
+# ---------------------------------------------------------------------------
+# trainer
+
+
+def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
+    """Fit the single relational + single descriptive context model.
+
+    Returns ``(EmbeddingModel, TrainingHistory)``. The descriptive loss is
+    weighted by ``hyper.lambda1``.
+    """
+    D_arr = np.asarray(D, dtype=np.float64)
+    A_arr, I_arr = np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64)
+    if D_arr.shape != (len(vocab.contexts), len(vocab.labels)):
+        raise ValueError(
+            f"cooccurrence shape {D_arr.shape} does not match vocabulary "
+            f"(contexts={len(vocab.contexts)}, labels={len(vocab.labels)})"
+        )
+    if A_arr.shape != (len(vocab.labels), len(vocab.attributes)):
+        raise ValueError(
+            f"attribute shape {A_arr.shape} does not match vocabulary "
+            f"(labels={len(vocab.labels)}, attributes={len(vocab.attributes)})"
+        )
+    return _train_engine([(D_arr, 1.0)], [(A_arr, I_arr, hyper.lambda1)], hyper)
 
 
 # ---------------------------------------------------------------------------

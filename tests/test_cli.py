@@ -1,4 +1,5 @@
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -23,9 +24,10 @@ from phcle.datamodel import (
     format_float,
     load_embeddings,
     load_model,
+    save_model,
 )
 from phcle.errors import ParseError
-from phcle.ingest import hierarchy_to_relations
+from phcle.ingest import hierarchy_to_relations, load_attribute_table, read_attribute_names
 from phcle.evaluation import (
     correlation_matrix,
     correlation_to_tsv,
@@ -35,6 +37,7 @@ from phcle.evaluation import (
 from phcle import trainer
 from reference import DescriptiveBlock as OldDescriptiveBlock
 from reference import RelationRecord, build_cooccurrence, load_relation_file
+from reference import train as reference_train
 
 RELATIONS = "cat\tfarm\ncat\tfarm\ncow\tfarm\t2\ndog\thome\ncat\thome\t0.5\n"
 ATTRS = "label\tlegs\ttail\ncat\t4\t1\ncow\t4\tNA\n"
@@ -681,6 +684,86 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {attrs}:3: non-finite cell {value!r}\n"
         assert not (workspace / "model.bin").exists()
 
+    def train_with_config(self, workspace, config_text, *extra_attrs):
+        """Exit code of a train run under ``config_text``, on attrs.tsv and
+        any ``extra_attrs`` tables, writing workspace/model.bin."""
+        cooc = workspace / "cooc.tsv"
+        main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
+        (workspace / "config").write_text(config_text)
+        attrs = [arg for path in (workspace / "attrs.tsv", *extra_attrs) for arg in ("--attrs", str(path))]
+        argv = ["train", "--cooc", str(cooc), *attrs, "--config", str(workspace / "config")]
+        return main(argv + ["--out", str(workspace / "model.bin")])
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("alpha = 0.5,0.5", "alpha has 2 weights for 1 relational contexts"),
+            ("beta = 0.5,0.5", "beta has 2 weights for 1 descriptive contexts"),
+        ],
+    )
+    def test_one_table_run_rejects_two_weights(self, workspace, capsys, setting, message):
+        key = setting.split(" = ")[0]
+        config = FULL_CONFIG.replace(f"{key} = 1", setting)
+        assert self.train_with_config(workspace, config) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "model.bin").exists()
+        assert [name for name in os.listdir(workspace) if name.endswith(".tmp")] == []
+
+    def test_one_table_run_writes_the_old_train_bytes(self, workspace, capsys):
+        # lambda1 = 0.5 weighs the table as the old one-table call did.
+        config = FULL_CONFIG.replace("lambda1 = 1.0", "lambda1 = 0.5")
+        assert self.train_with_config(workspace, config) == 0
+        cooc_vocab, D = read_cooccurrence_tsv(workspace / "cooc.tsv")
+        names = read_attribute_names(workspace / "attrs.tsv")
+        vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, (names,))
+        table = load_attribute_table(workspace / "attrs.tsv", vocab)
+        hyper = load_config(workspace / "config")
+        assert hyper.lambda1 == 0.5
+        model, history = reference_train(D, table.assoc, table.mask, hyper, vocab)
+        save_model(workspace / "old.bin", model, vocab, hyper)
+        assert (workspace / "model.bin").read_bytes() == (workspace / "old.bin").read_bytes()
+        got = np.loadtxt(workspace / "model.bin.history.tsv", skiprows=1, ndmin=2)
+        want = np.loadtxt(io.StringIO(history.to_tsv()), skiprows=1, ndmin=2)
+        assert np.array_equal(got[:, :-1], want[:, :-1])  # all but the seconds column
+
+    def test_two_table_run_scales_descriptive_weights_by_lambda1(self, workspace, capsys):
+        (workspace / "attrs2.tsv").write_text("label\tsize\ndog\t3\n")
+        Ws = []
+        for lambda1 in ("0.5", "7"):
+            config = FULL_CONFIG.replace("beta = 1", "beta = 0.5,0.5").replace("lambda1 = 1.0", f"lambda1 = {lambda1}")
+            assert self.train_with_config(workspace, config, workspace / "attrs2.tsv") == 0
+            Ws.append(load_model(workspace / "model.bin")[0].W)
+        assert not np.array_equal(*Ws)
+
+    @pytest.mark.parametrize(
+        "key,field",
+        [(key, field) for key, field in CONFIG_KEYS.items() if isinstance(getattr(HyperParams(), field), int)],
+    )
+    def test_integer_past_int64_exits_two(self, workspace, capsys, key, field):
+        config = f"{key} = {2**63}\n" + "".join(
+            line + "\n" for line in FULL_CONFIG.splitlines() if not line.startswith(f"{key} =")
+        )
+        assert self.train_with_config(workspace, config) == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'config'}: bad config value: {field} must be <= 9223372036854775807\n"
+        )
+        assert not (workspace / "model.bin").exists()
+        assert [name for name in os.listdir(workspace) if name.endswith(".tmp")] == []
+
+    def test_largest_int64_seed_round_trips(self, workspace, capsys):
+        config = FULL_CONFIG.replace("seed = 0", "seed = 9223372036854775807")
+        assert self.train_with_config(workspace, config) == 0
+        assert load_model(workspace / "model.bin")[2].seed == 2**63 - 1
+
+    def test_non_finite_start_exits_three(self, workspace, capsys):
+        # Squared residuals of 1e200 overflow in the starting objective;
+        # numpy warns of it as it goes.
+        (workspace / "attrs.tsv").write_text("label\tlegs\ttail\ncat\t1e200\t1\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = self.train_with_config(workspace, FULL_CONFIG)
+        assert code == 3
+        assert capsys.readouterr().err == "error: objective is non-finite at the starting point\n"
+        assert not (workspace / "model.bin").exists()
 
     @pytest.mark.parametrize(
         "line,message", [("\ta\t2", "empty context name"), ("x\t\t2", "empty label name")]
@@ -783,6 +866,26 @@ class TestAtomicOutputs:
         out = workspace / "nowhere" / "cooc.tsv"
         assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("command", ["build-cooc", "train", "export"])
+    def test_directory_out_names_the_target(self, workspace, capsys, command):
+        model = trained_model(workspace)
+        out = workspace / "dd"
+        out.mkdir()
+        argv = {
+            "build-cooc": ["build-cooc", "--relations", str(workspace / "relations.tsv")],
+            "train": [
+                "train", "--cooc", str(workspace / "cooc.tsv"), "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"),
+            ],
+            "export": ["export", "--model", str(model)],
+        }[command]
+        before = sorted(os.listdir(workspace))
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(os.listdir(workspace)) == before
+        assert os.listdir(out) == []
 
 
 class TestImports:
@@ -936,11 +1039,20 @@ class TestGridSearch:
         assert code == 2
         assert "not a number" in capsys.readouterr().err
 
-    def test_grid_search_rejects_generalized_runs(self, workspace, capsys):
+    def test_scorer_printing_nothing_exits_two(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr("phcle.cli.GRID_VALUES", (1.0,))
+        assert self._train_with_scorer(workspace, "true") == 2
+        assert capsys.readouterr().err == "error: scoring command printed no score\n"
+        assert not (workspace / "model.bin").exists()
+
+    def test_two_table_grid_search_picks_the_best_lambda1(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr("phcle.cli.GRID_VALUES", (0.01, 0.1, 1.0))
         cooc = workspace / "cooc.tsv"
         main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)])
         (workspace / "attrs2.tsv").write_text("label\tsize\ndog\t3\n")
         (workspace / "config").write_text(FULL_CONFIG.replace("beta = 1", "beta = 0.5,0.5"))
+        capsys.readouterr()
+        model_path = workspace / "model.bin"
         code = main(
             [
                 "train",
@@ -948,28 +1060,19 @@ class TestGridSearch:
                 "--attrs", str(workspace / "attrs.tsv"),
                 "--attrs", str(workspace / "attrs2.tsv"),
                 "--config", str(workspace / "config"),
-                "--out", str(workspace / "model.bin"),
-                "--grid-search", "true",
+                "--out", str(model_path),
+                "--grid-search", self.SCORER,
             ]
         )
-        assert code == 2
-        assert "single descriptive context" in capsys.readouterr().err
-
-    def test_grid_search_is_checked_before_any_input_is_read(self, workspace, capsys):
-        (workspace / "attrs2.tsv").write_text("label\tsize\ndog\t3\n")
-        code = main(
-            [
-                "train",
-                "--cooc", str(workspace / "missing.tsv"),
-                "--attrs", str(workspace / "attrs.tsv"),
-                "--attrs", str(workspace / "attrs2.tsv"),
-                "--config", str(workspace / "config"),
-                "--out", str(workspace / "model.bin"),
-                "--grid-search", "true",
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == "error: grid search supports a single descriptive context\n"
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("grid: lambda1=") == 27
+        assert "grid best: lambda1=0.1 lambda2=1 lambda3=0.01 score=1" in out
+        assert model_path.read_bytes()[:6] == b"PHCLG1"
+        model, _, hyper = load_model(model_path)
+        assert len(model.Us) == 2
+        assert (hyper.lambda1, hyper.lambda2, hyper.lambda3, hyper.beta) == (0.1, 1.0, 0.01, (0.5, 0.5))
+        assert not (workspace / "model.bin.grid.tmp").exists()
 
 
 class TestTablesMissingLabels:
@@ -1110,6 +1213,31 @@ class TestReadOnlyCommands:
         expected = "".join(f"related\t{n}\t{format_float(p)}\n" for n, p in desc.related)
         expected += "".join(f"attribute\t{n}\t{format_float(s)}\n" for n, s in desc.attributes)
         assert out == expected
+
+    def test_describe_human_output_matches_library(self, workspace, capsys):
+        model_path = trained_model(workspace)
+        model, vocab, _ = load_model(model_path)
+        vector = workspace / "vec.txt"
+        vector.write_text(" ".join(format_float(x) for x in model.W[:, 0]))
+        capsys.readouterr()
+        assert main(["describe", "--model", str(model_path), "--vector", str(vector), "--top-attrs", "1"]) == 0
+        out = capsys.readouterr().out
+        desc = describe_embedding(model, vocab, model.W[:, 0], coverage=0.8, top_attrs=1)
+        assert desc.related and len(desc.attributes) == 1
+        expected = "related labels (coverage 0.8):\n"
+        expected += "".join(f"  {n}  {p:.2f}%\n" for n, p in desc.related)
+        expected += "top 1 attributes:\n"
+        expected += "".join(f"  {n}  {s:.6f}\n" for n, s in desc.attributes)
+        assert out == expected
+
+    def test_describe_human_output_marks_empty_lists(self, workspace, capsys):
+        model_path = trained_model(workspace)
+        vector = workspace / "vec.txt"
+        vector.write_text("0 0 0")
+        capsys.readouterr()
+        argv = ["describe", "--model", str(model_path), "--vector", str(vector), "--top-attrs", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "related labels (coverage 0.8):\n  (none)\ntop 0 attributes:\n  (none)\n"
 
     def test_describe_wrong_vector_length_exits_two(self, workspace, capsys):
         model_path = trained_model(workspace)

@@ -465,6 +465,52 @@ def test_bad_model_payload_is_a_parse_error(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def name_table(*names) -> bytes:
+    """A name table as a model file stores it."""
+    return struct.pack("<Q", len(names)) + b"".join(struct.pack("<Q", len(n)) + n.encode() for n in names)
+
+
+# Well-framed model files whose name tables disagree with the header or
+# with a factor's width: the PHCLE1 file of TestBinaryModel and a PHCLG1
+# file with two relational and one descriptive context, each with one
+# table edited, and the message the load reports after the path.
+BAD_NAME_TABLES = {
+    "PHCLE1 labels": (False, name_table("cat", "dog", "horse"), name_table("cat", "dog"),
+                      "name table sizes disagree with header"),
+    "PHCLG1 labels": (True, name_table("a", "b", "c", "d"), name_table("a", "b", "c"),
+                      "label table size disagrees with header"),
+    "PHCLG1 contexts": (True, name_table("x", "y"), name_table("x"),
+                        "context table size disagrees with factor width"),
+    "PHCLG1 attributes": (True, name_table("fur"), name_table("fur", "big"),
+                          "attribute table size disagrees with factor width"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAME_TABLES)
+def test_name_table_that_disagrees_is_a_parse_error(tmp_path, capsys, case):
+    general, table, edited, message = BAD_NAME_TABLES[case]
+    if general:
+        rng = np.random.default_rng(8)
+        model = EmbeddingModel(
+            W=rng.standard_normal((3, 4)),
+            Cs=(rng.standard_normal((3, 2)), rng.standard_normal((3, 5))),
+            Us=(rng.standard_normal((3, 1)),),
+            dim=3,
+        )
+        vocab = VocabularyMaps(("a", "b", "c", "d"), (("x", "y"), ("p", "q", "r", "s", "t")), (("fur",),))
+        hyper = HyperParams(alpha=(0.25, 0.75), dim=3)
+    else:
+        model, vocab, hyper = TestBinaryModel().make()
+    good = tmp_path / "good.bin"
+    save_model(good, model, vocab, hyper)
+    data = good.read_bytes()
+    assert data.count(table) == 1
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data.replace(table, edited))
+    assert main(["retrieve", "--model", str(path), "--query", vocab.labels[0]]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestAtomicWrites:
     def test_failure_mid_write_keeps_the_old_file(self, tmp_path):
         target = tmp_path / "out.txt"

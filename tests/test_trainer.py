@@ -173,10 +173,10 @@ class TestTrain:
 class TestTrainGeneralized:
     def test_singleton_reduces_bitwise_to_train(self):
         D, A, I, vocab = small_instance(9)
-        # lambda1 deliberately bogus: the generalized path must ignore it.
-        hyper_g = small_hyper(lambda1=123.0, alpha=(1.0,), beta=(1.0,))
+        # lambda1 scales the descriptive weight on both paths alike.
+        hyper_g = small_hyper(lambda1=2.5, alpha=(1.0,), beta=(1.0,))
         gen_model, gen_hist = train_generalized([D], [(A, I)], hyper_g)
-        base_model, base_hist = train(D, A, I, small_hyper(lambda1=1.0), vocab)
+        base_model, base_hist = train(D, A, I, small_hyper(lambda1=2.5), vocab)
         assert np.array_equal(gen_model.W, base_model.W)
         assert np.array_equal(gen_model.Cs[0], base_model.C)
         assert np.array_equal(gen_model.Us[0], base_model.U)
@@ -265,10 +265,54 @@ class TestTrainGeneralized:
         with pytest.raises(ValueError, match="descriptive"):
             train_generalized([D], [], small_hyper())
 
+    def test_lambda1_scales_every_descriptive_weight(self):
+        # History row 0 is the starting point, so its descriptive term is
+        # the sum over the tables at the drawn factors, each weighted
+        # lambda1 * beta[j].
+        D, A, I, _ = small_instance(14, attrs=6)
+        tables = [(A[:, :2], I[:, :2]), (A[:, 2:], I[:, 2:])]
+        hyper = small_hyper(lambda1=0.5, beta=(0.25, 0.75))
+        _, history = train_generalized([D], tables, hyper)
+        W0, _, U0s = _draw_factors(hyper.init_scheme, hyper.seed, hyper.dim, D.shape[1], [D.shape[0]], [2, 4])
+        expected = sum(
+            descriptive_objective(A_j, I_j, W0, U0_j, 0.5 * b) for (A_j, I_j), U0_j, b in zip(tables, U0s, hyper.beta)
+        )
+        assert history.records[0].descriptive_term == expected
+        _, unscaled = train_generalized([D], tables, replace(hyper, lambda1=1.0))
+        assert unscaled.records[0].descriptive_term != expected
+
+    @pytest.mark.parametrize("kind,contexts", [("alpha", "relational"), ("beta", "descriptive")])
+    def test_one_table_train_rejects_two_weights(self, kind, contexts):
+        D, A, I, vocab = small_instance()
+        with pytest.raises(ValueError) as err:
+            train(D, A, I, small_hyper(**{kind: (0.5, 0.5)}), vocab)
+        assert str(err.value) == f"{kind} has 2 weights for 1 {contexts} contexts"
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("count matrix with other labels", "relational context 1 has shape (5, 5), expected 6 label columns"),
+            ("count matrix without contexts", "training needs at least one label and one context"),
+            ("table with other labels", "descriptive context 1 has shape (5, 4), expected 6 label rows"),
+        ],
+    )
+    def test_contexts_that_disagree_are_rejected(self, case, message):
+        # train_generalized has no vocabulary to check the shapes against.
+        D, A, I, _ = small_instance()
+        Ds, tables, weights = {
+            "count matrix with other labels": ([D, D[:, :-1]], [(A, I)], dict(alpha=(0.5, 0.5))),
+            "count matrix without contexts": ([D[:0]], [(A, I)], {}),
+            "table with other labels": ([D], [(A, I), (A[:-1], I[:-1])], dict(beta=(0.5, 0.5))),
+        }[case]
+        with pytest.raises(ValueError) as err:
+            train_generalized(Ds, tables, small_hyper(**weights))
+        assert str(err.value) == message
+
 
 def reference_run(Ds, tables, hyper):
     """The engine's outer iterations written out with the per-context
     functions: a model's factors and the numeric history rows."""
+    betas = [hyper.lambda1 * b for b in hyper.beta]
     Qs = [negative_bound_values(D, hyper.negative_samples) for D in Ds]
     W, Cs, Us = _draw_factors(
         hyper.init_scheme, hyper.seed, hyper.dim, Ds[0].shape[1],
@@ -277,7 +321,7 @@ def reference_run(Ds, tables, hyper):
 
     def row(it, fista):
         emf = sum(a * emf_objective(D, Q, C, W) for D, Q, C, a in zip(Ds, Qs, Cs, hyper.alpha))
-        desc = sum(descriptive_objective(A, I, W, U, b) for (A, I), U, b in zip(tables, Us, hyper.beta))
+        desc = sum(descriptive_objective(A, I, W, U, b) for (A, I), U, b in zip(tables, Us, betas))
         l1 = hyper.lambda2 * sum(float(np.sum(np.abs(U))) for U in Us)
         l2_w = 0.5 * hyper.lambda3 * float(np.sum(W * W))
         l2_u = 0.5 * hyper.lambda3 * sum(float(np.sum(U * U)) for U in Us)
@@ -292,20 +336,21 @@ def reference_run(Ds, tables, hyper):
             grad = hyper.alpha[0] * grad_W_relational(Ds[0], Qs[0], Cs[0], W)
             for r in range(1, len(Ds)):
                 grad = grad + hyper.alpha[r] * grad_W_relational(Ds[r], Qs[r], Cs[r], W)
-            for (A, I), U, b in zip(tables, Us, hyper.beta):
+            for (A, I), U, b in zip(tables, Us, betas):
                 grad = grad + grad_W_descriptive(A, I, W, U, b)
             grad = grad + hyper.lambda3 * W
             W = W - hyper.step_size * grad
         fista = 0
         for j, (A, I) in enumerate(tables):
-            Us[j], used, _ = fista_solve_U(A, I, W, Us[j], replace(hyper, lambda1=hyper.beta[j]))
+            Us[j], used, _ = fista_solve_U(A, I, W, Us[j], replace(hyper, lambda1=betas[j]))
             fista += used
         rows.append(row(it, fista))
     return W, Cs, Us, rows
 
 
 class TestEngineOracle:
-    def test_blocks_match_the_per_context_functions_bitwise(self):
+    @staticmethod
+    def check_bitwise(**weights):
         # Three tables of different widths, the widest in the middle, so the
         # shared residual buffer is viewed at three shapes; with this many
         # labels np.sum of a strided column slice would round differently
@@ -321,13 +366,19 @@ class TestEngineOracle:
             I = (rng.uniform(size=A.shape) > 0.4).astype(float)
             A[I == 0] = placeholder
             tables.append((A, I))
-        hyper = small_hyper(outer_iters=2, inner_max_iter=4, alpha=(0.3, 0.7), beta=(0.2, 0.5, 0.3))
+        hyper = small_hyper(outer_iters=2, inner_max_iter=4, alpha=(0.3, 0.7), beta=(0.2, 0.5, 0.3), **weights)
         model, history = train_generalized(Ds, tables, hyper)
         W, Cs, Us, rows = reference_run(Ds, tables, hyper)
         assert model.W.tobytes() == W.tobytes()
         assert [C.tobytes() for C in model.Cs] == [C.tobytes() for C in Cs]
         assert [U.tobytes() for U in model.Us] == [U.tobytes() for U in Us]
         assert numeric_history(history) == rows
+
+    def test_blocks_match_the_per_context_functions_bitwise(self):
+        self.check_bitwise()
+
+    def test_blocks_match_the_per_context_functions_bitwise_at_lambda1_half(self):
+        self.check_bitwise(lambda1=0.5)
 
 
 def assert_close_runs(got, want):
