@@ -227,13 +227,15 @@ def _run_scorer(command: str, model_path) -> float:
 
 
 def cmd_train(args) -> int:
+    if len(args.cooc) != 1:
+        raise ValueError(f"train takes one co-occurrence file: --cooc given {len(args.cooc)} times")
     for path in args.attrs:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError(
                 f"{path}: --attrs needs a regular file: train reads each table twice "
                 "(its header for the vocabulary, then the whole table), and a pipe can be read only once"
             )
-    cooc_vocab, D = read_cooccurrence_tsv(args.cooc)
+    cooc_vocab, D = read_cooccurrence_tsv(args.cooc[0])
     hyper = load_config(args.config)
     attr_names = [read_attribute_names(path) for path in args.attrs]
     vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, attr_names)
@@ -402,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_cooc)
 
     p = sub.add_parser("train", help="fit a model from a co-occurrence table and attribute tables")
-    p.add_argument("--cooc", required=True, help="co-occurrence TSV from build-cooc")
+    # Appended, so that a second --cooc is refused rather than kept in place of the first.
+    p.add_argument("--cooc", action="append", required=True, help="co-occurrence TSV from build-cooc (one)")
     p.add_argument("--attrs", action="append", required=True, help="attribute table (repeatable)")
     p.add_argument("--config", required=True, help="key=value hyperparameter file")
     p.add_argument("--out", required=True, help="output model file")

@@ -96,6 +96,17 @@ def _check_name(name: str, kind: str) -> None:
         raise ValueError(f"{kind} name {name!r} contains a tab or newline")
 
 
+_LINE_BREAK = re.compile("[\t\n\r]")  # what _check_name refuses in a name
+_WHITESPACE = re.compile(r"\s")  # on str, the characters str.isspace accepts
+
+
+def _all_pass(names, forbidden) -> bool:
+    """Whether every name is non-empty and free of what the pattern
+    ``forbidden`` matches, in one scan of the joined names. Callers run
+    their per-name checks only when it is not, to word the error."""
+    return all(names) and not forbidden.search("".join(names))
+
+
 @dataclass(frozen=True)
 class VocabularyMaps:
     """Label names plus one name list per relational context
@@ -119,8 +130,9 @@ class VocabularyMaps:
             ("attribute", self.attribute_lists),
         ):
             for names in lists:
-                for name in names:
-                    _check_name(name, kind)
+                if not _all_pass(names, _LINE_BREAK):
+                    for name in names:
+                        _check_name(name, kind)
                 if len(set(names)) != len(names):
                     raise ValueError(f"duplicate {kind} names")
         object.__setattr__(self, "_label_idx", {n: i for i, n in enumerate(self.labels)})
@@ -349,10 +361,11 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
     labels = tuple(labels)
     if len(labels) != model.W.shape[1]:
         raise ValueError(f"{len(labels)} names for {model.W.shape[1]} label vectors")
-    for name in labels:
-        _check_name(name, "label")
-        if any(ch.isspace() for ch in name):
-            raise ValueError(f"label name {name!r} contains whitespace, not storable in text format")
+    if not _all_pass(labels, _WHITESPACE):
+        for name in labels:
+            _check_name(name, "label")
+            if any(ch.isspace() for ch in name):
+                raise ValueError(f"label name {name!r} contains whitespace, not storable in text format")
     lines = [f"{len(labels)} {model.dim}"]
     # Python floats, one list per label: format_float of each is the same
     # text as of the np.float64 it came from.

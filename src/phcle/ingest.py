@@ -27,8 +27,9 @@ def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
     """Sum ``(contexts, labels, values)`` column blocks from the file
     ``path`` into a contexts x labels matrix over the sorted names, in one
     pass: names get ids in order of first appearance, the ids then map to
-    positions in the sorted vocabulary, and the values are added in the
-    order given, so each cell sums exactly as a line-by-line loop would.
+    positions in the sorted vocabulary, and one ``np.bincount`` over the
+    flat cell positions adds the values in the order given, so each cell
+    sums exactly as a line-by-line loop would.
     ``capacity`` is an upper bound on the entries, not a starting size:
     the arrays never grow, and blocks that hold more raise.
 
@@ -64,9 +65,13 @@ def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
         raise
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
-    D = np.zeros((len(contexts), len(labels)))
-    with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        np.add.at(D, (context_position[rows[:n]], label_position[cols[:n]]), values[:n])
+    cells = context_position[rows[:n]]
+    cells *= len(labels)
+    cells += label_position[cols[:n]]
+    # bincount adds each weight to its cell in input order, from 0.0, and
+    # gives integer zeros when there are no entries (an empty file).
+    D = np.bincount(cells, weights=values[:n], minlength=len(contexts) * len(labels))
+    D = D.astype(np.float64, copy=False).reshape(len(contexts), len(labels))
     if not np.isfinite(D).all():
         raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
     return vocab, D
@@ -130,6 +135,14 @@ def _separators(buf, widths):
     raise _Irregular
 
 
+class _Floats(dict):
+    """Value text -> ``float(text)``, each distinct text parsed once."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
 def _count_blocks(fh, label_column, positive, weight_optional=False):
     """Yield ``(contexts, labels, values)`` column blocks from the binary
     file ``fh`` of ``name<TAB>name<TAB>value`` lines, the label name in
@@ -137,12 +150,18 @@ def _count_blocks(fh, label_column, positive, weight_optional=False):
     ``weight_optional`` a file of ``name<TAB>name`` lines is read too, each
     line with the value 1.0; the first block fixes the field count.
 
+    Counts repeat, so each block parses each distinct value text once
+    (:class:`_Floats`). A block with more distinct texts than half its
+    lines gains too little from that, and the rest of the file is parsed
+    text by text.
+
     Raises :class:`_Irregular` on anything the line reader judges or
     reads differently: a carriage return, a blank line or another field
     count, an empty field, undecodable UTF-8, a value ``float`` rejects,
     and a value that is not finite and ``> 0`` (``positive``) or ``>= 0``.
     """
     widths = (2, 3) if weight_optional else (3,)
+    repeated = True
     for block in _line_blocks(fh, _BLOCK_BYTES):
         _, width = _separators(np.frombuffer(block, dtype=np.uint8), widths)
         widths = (width,)
@@ -150,7 +169,14 @@ def _count_blocks(fh, label_column, positive, weight_optional=False):
             tokens = block.decode("utf-8").replace("\n", "\t").split("\t")
             tokens.pop()  # after the final newline
             lines = len(tokens) // width
-            values = np.fromiter(map(float, tokens[2::3]), np.float64, lines) if width == 3 else np.ones(lines)
+            if width == 2:
+                values = np.ones(lines)
+            elif repeated:
+                floats = _Floats()
+                values = np.fromiter(map(floats.__getitem__, tokens[2::3]), np.float64, lines)
+                repeated = 2 * len(floats) <= lines
+            else:
+                values = np.fromiter(map(float, tokens[2::3]), np.float64, lines)
         except ValueError:  # UnicodeDecodeError included
             raise _Irregular from None
         if not np.isfinite(values).all() or not (values > 0 if positive else values >= 0).all():

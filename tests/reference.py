@@ -3,15 +3,19 @@
 No command of ``phcle`` calls these, so they are not part of the package:
 each is kept here as it was written there, next to the private helpers of
 ``phcle`` it is built on, and the tests check the shipped code against it.
-Under ``descriptive`` is the block as it was before its solve ran over
-only the labels its table observes, under ``trainer`` the one-table
-``train`` as it was before it shared the weight rule of
+Under ``ingest`` are the count-file block reader and sum as they were
+before value texts were parsed once per block and summed by one
+``np.bincount``, under ``descriptive`` the block as it was before its
+solve ran over only the labels its table observes, under ``trainer`` the
+one-table ``train`` as it was before it shared the weight rule of
 ``train_generalized``, and under ``cli`` the co-occurrence writer as it
 was before the byte gather replaced it.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +31,9 @@ from phcle.datamodel import (
     format_float,
 )
 from phcle.descriptive import _add_penalties, _prox, descriptive_objective, lipschitz_bound
-from phcle.errors import DivergenceError
+from phcle.errors import DivergenceError, ParseError
 from phcle.evaluation import NORM_FLOOR
-from phcle.ingest import _check_relation, _relation_lines
+from phcle.ingest import _BLOCK_BYTES, _check_relation, _Irregular, _line_blocks, _relation_lines, _separators
 from phcle.relational import _softplus_inplace
 from phcle.trainer import _train_engine
 
@@ -77,6 +81,84 @@ def init_model(
 
 # ---------------------------------------------------------------------------
 # ingest
+
+
+def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
+    """Sum ``(contexts, labels, values)`` column blocks from the file
+    ``path`` into a contexts x labels matrix over the sorted names, in one
+    pass: names get ids in order of first appearance, the ids then map to
+    positions in the sorted vocabulary, and the values are added in the
+    order given, so each cell sums exactly as a line-by-line loop would.
+    ``capacity`` is an upper bound on the entries, not a starting size:
+    the arrays never grow, and blocks that hold more raise.
+
+    A :class:`ParseError` from ``blocks`` keeps its line; any other
+    ``ValueError`` (an undecodable byte, a bad name, more than
+    ``capacity`` entries) and a sum that overflows become one naming
+    ``path``.
+    """
+    context_ids = defaultdict(itertools.count().__next__)
+    label_ids = defaultdict(itertools.count().__next__)
+    rows = np.empty(capacity, dtype=np.intp)
+    cols = np.empty(capacity, dtype=np.intp)
+    values = np.empty(capacity)
+    n = 0
+
+    def sorted_names(ids):
+        names = tuple(sorted(ids))
+        position = np.empty(len(names), dtype=np.intp)
+        position[[ids[name] for name in names]] = np.arange(len(names))
+        return names, position
+
+    try:
+        for contexts, labels, block_values in blocks:
+            end = n + len(block_values)
+            rows[n:end] = np.fromiter(map(context_ids.__getitem__, contexts), np.intp, end - n)
+            cols[n:end] = np.fromiter(map(label_ids.__getitem__, labels), np.intp, end - n)
+            values[n:end] = block_values
+            n = end
+        contexts, context_position = sorted_names(context_ids)
+        labels, label_position = sorted_names(label_ids)
+        vocab = VocabularyMaps(labels=labels, context_lists=(contexts,))
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
+    D = np.zeros((len(contexts), len(labels)))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        np.add.at(D, (context_position[rows[:n]], label_position[cols[:n]]), values[:n])
+    if not np.isfinite(D).all():
+        raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
+    return vocab, D
+
+
+def _count_blocks(fh, label_column, positive, weight_optional=False):
+    """Yield ``(contexts, labels, values)`` column blocks from the binary
+    file ``fh`` of ``name<TAB>name<TAB>value`` lines, the label name in
+    field ``label_column``, checking each block as a whole. With
+    ``weight_optional`` a file of ``name<TAB>name`` lines is read too, each
+    line with the value 1.0; the first block fixes the field count.
+
+    Raises :class:`_Irregular` on anything the line reader judges or
+    reads differently: a carriage return, a blank line or another field
+    count, an empty field, undecodable UTF-8, a value ``float`` rejects,
+    and a value that is not finite and ``> 0`` (``positive``) or ``>= 0``.
+    """
+    widths = (2, 3) if weight_optional else (3,)
+    for block in _line_blocks(fh, _BLOCK_BYTES):
+        _, width = _separators(np.frombuffer(block, dtype=np.uint8), widths)
+        widths = (width,)
+        try:
+            tokens = block.decode("utf-8").replace("\n", "\t").split("\t")
+            tokens.pop()  # after the final newline
+            lines = len(tokens) // width
+            values = np.fromiter(map(float, tokens[2::3]), np.float64, lines) if width == 3 else np.ones(lines)
+        except ValueError:  # UnicodeDecodeError included
+            raise _Irregular from None
+        if not np.isfinite(values).all() or not (values > 0 if positive else values >= 0).all():
+            raise _Irregular
+        names = tokens[0::width], tokens[1::width]
+        yield names[1 - label_column], names[label_column], values
 
 
 @dataclass(frozen=True)

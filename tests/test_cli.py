@@ -825,6 +825,27 @@ class TestTrainCommand:
             read_cooccurrence_tsv(path)
         assert str(err.value) == f"{path}:3: non-numeric count 'many'"
 
+    def test_second_cooc_file_exits_two(self, workspace, capsys):
+        cooc = workspace / "cooc.tsv"
+        assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
+        (workspace / "other.tsv").write_text("farm\tcat\t3\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--cooc", str(cooc),
+                "--cooc", str(workspace / "other.tsv"),
+                "--attrs", str(workspace / "attrs.tsv"),
+                "--config", str(workspace / "config"),
+                "--out", str(workspace / "model.bin"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: train takes one co-occurrence file: --cooc given 2 times\n"
+        assert not (workspace / "model.bin").exists()
+        assert not (workspace / "model.bin.history.tsv").exists()
+        assert [name for name in os.listdir(workspace) if name.endswith(".tmp")] == []
+
 
 class TestAtomicOutputs:
     """A write that fails leaves the file it would replace as it was and

@@ -52,6 +52,26 @@ class TestVocabularyMaps:
         with pytest.raises(ValueError):
             VocabularyMaps(labels=("a\tb",), context_lists=(("x",),))
 
+    @pytest.mark.parametrize(
+        "labels,contexts,message",
+        [
+            (("a", "", "b\tc"), ("x",), "empty label name"),
+            (("a", "b\rc", ""), ("x",), "label name 'b\\rc' contains a tab or newline"),
+            (("a\nb",), ("x",), "label name 'a\\nb' contains a tab or newline"),
+            (("a", "b"), ("x", "y\tz", ""), "context name 'y\\tz' contains a tab or newline"),
+            (("a b", "\u3000c", "d\x1ce"), ("x y",), None),
+        ],
+    )
+    def test_names_checked_at_once_word_the_first_bad_name(self, labels, contexts, message):
+        # One scan covers each list; the error still names the first bad
+        # name as the per-name check words it.
+        if message is None:
+            assert VocabularyMaps(labels=labels, context_lists=(contexts,)).labels == labels
+        else:
+            with pytest.raises(ValueError) as err:
+                VocabularyMaps(labels=labels, context_lists=(contexts,))
+            assert str(err.value) == message
+
 
 class TestMatrixTypes:
     def test_cooccurrence_rejects_negative(self):
@@ -222,6 +242,22 @@ class TestTextEmbeddings:
         model = init_model(VocabularyMaps(labels=("a",), context_lists=(("x",),)), dim=1)
         with pytest.raises(ValueError, match="whitespace"):
             save_embeddings(model, ("a b",), tmp_path / "emb.txt")
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            (("a", "b\u3000c", "d\te"), "label name 'b\\u3000c' contains whitespace, not storable in text format"),
+            (("a", "d\te", "b c"), "label name 'd\\te' contains a tab or newline"),
+            (("a", "", "b c"), "empty label name"),
+            (("a", "b\x1cc", "d"), "label name 'b\\x1cc' contains whitespace, not storable in text format"),
+        ],
+    )
+    def test_names_checked_at_once_word_the_first_bad_name(self, tmp_path, labels, message):
+        vocab = VocabularyMaps(labels=tuple(f"l{i}" for i in range(len(labels))), context_lists=(("x",),))
+        with pytest.raises(ValueError) as err:
+            save_embeddings(init_model(vocab, dim=1), labels, tmp_path / "emb.txt")
+        assert str(err.value) == message
+        assert not (tmp_path / "emb.txt").exists()
 
     def test_missing_row_reports_line(self, tmp_path):
         path = tmp_path / "emb.txt"
