@@ -19,7 +19,7 @@ serve that case. ``GeneralizedVocabulary`` is another name for
 :class:`VocabularyMaps`.
 
 All value objects are immutable after construction: array payloads are
-copied to C-ordered float64 and marked read-only.
+copied to C-ordered float64 (observation masks to bool) and marked read-only.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _MODEL_MAGIC_GENERAL = b"PHCLG1"
 DEFAULT_INIT_SCHEME = "uniform_random(0.1)"
 
 
-def _frozen_array(x, name, *, finite=True):
-    arr = np.array(x, dtype=np.float64, order="C", copy=True)
+def _frozen_array(x, name, *, finite=True, dtype=np.float64):
+    arr = np.array(x, dtype=dtype, order="C", copy=True)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
@@ -161,9 +161,10 @@ class VocabularyMaps:
 
 @dataclass(frozen=True, eq=False)
 class AttributeContext:
-    """Attribute associations with a binary observation mask.
+    """Attribute associations with a binary observation mask, given as 0/1
+    values of any numeric or bool dtype and kept as a read-only bool array.
 
-    Entries of ``assoc`` where ``mask`` is 0 carry no information: any
+    Entries of ``assoc`` where ``mask`` is False carry no information: any
     value (even a non-finite one) is permitted there and must never
     influence a computation.
     """
@@ -173,13 +174,13 @@ class AttributeContext:
 
     def __post_init__(self):
         assoc = _frozen_array(self.assoc, "assoc", finite=False)
-        mask = _frozen_array(self.mask, "mask")
+        mask = np.asarray(self.mask)
+        if mask.dtype != bool and not np.isin(mask, (0, 1)).all():
+            raise ValueError("mask entries must be 0 or 1")
+        mask = _frozen_array(mask, "mask", finite=False, dtype=bool)
         if mask.shape != assoc.shape:
             raise ValueError(f"mask shape {mask.shape} does not match assoc shape {assoc.shape}")
-        if not np.isin(mask, (0.0, 1.0)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        observed = assoc[mask == 1.0]
-        if not np.isfinite(observed).all():
+        if not np.isfinite(assoc[mask]).all():
             raise ValueError("assoc contains non-finite observed entries")
         object.__setattr__(self, "assoc", assoc)
         object.__setattr__(self, "mask", mask)

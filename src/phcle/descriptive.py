@@ -73,10 +73,11 @@ LIPSCHITZ_FLOOR = 1e-12
 
 
 class DescriptiveBlock:
-    """One descriptive context, float64 ``(A, I)`` at ``weight``, prepared
-    once: its residuals, objective term, gradients and the solve of its
-    attribute factor ``factor``. It computes in ``buf``, a flat float64
-    array of at least ``A.size`` elements, or else in one of its own.
+    """One descriptive context, float64 ``A`` and mask ``I`` (kept as it is
+    if bool, else read as ``I != 0``) at ``weight``, prepared once: its
+    residuals, objective term, gradients and the solve of its attribute
+    factor ``factor``. It computes in ``buf``, a flat float64 array of at
+    least ``A.size`` elements, or else in one of its own.
     ``kept`` indexes the label rows with an observed cell: all of them, as
     a slice, when every row has one."""
 
@@ -86,7 +87,7 @@ class DescriptiveBlock:
         if A.ndim != 2 or A.shape[0] != n_labels:
             raise ValueError(f"descriptive context {index} has shape {A.shape}, expected {n_labels} label rows")
         self.name, self.weight, self.factor = f"U[{index}]", weight, factor
-        self.observed = I != 0
+        self.observed = I.astype(bool, copy=False)
         hidden = A[~self.observed]
         positive_zeros = not (hidden.any() or np.signbit(hidden).any())
         self.A_obs = A if positive_zeros else np.where(self.observed, A, 0.0)
@@ -192,10 +193,10 @@ class DescriptiveBlock:
 
 def _block(A, I, W, U, weight):
     """A checked float64 block holding ``U`` as its factor, and ``W``."""
-    A, I, W, U = (np.asarray(x, dtype=np.float64) for x in (A, I, W, U))
+    A, W, U = (np.asarray(x, dtype=np.float64) for x in (A, W, U))
     if W.shape[0] != U.shape[0] or A.shape != (W.shape[1], U.shape[1]):
         raise ValueError(f"assoc {A.shape}, W {W.shape} and U {U.shape} do not fit: W is dim x labels, U dim x attrs")
-    return DescriptiveBlock(A, I, weight, W.shape[1], factor=U), W
+    return DescriptiveBlock(A, np.asarray(I), weight, W.shape[1], factor=U), W
 
 
 def descriptive_objective(A, I, W, U, weight: float) -> float:

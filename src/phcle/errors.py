@@ -28,10 +28,20 @@ class DivergenceError(RuntimeError):
 
 
 @contextmanager
-def naming_undecodable(path):
+def naming_undecodable(path, raw=None):
     """Re-raise a ``UnicodeDecodeError`` from the block as a
-    :class:`ParseError` naming ``path``."""
+    :class:`ParseError` naming ``path``; given ``raw``, the seekable binary
+    handle under the text, also the bad byte's line and its position in the file."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise ParseError(str(exc), path=path) from None
+        line = None
+        if raw is not None:
+            raw.seek(0)
+            data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc, at = whole, whole.start
+                line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        raise ParseError(str(exc), path=path, line=line) from None

@@ -199,8 +199,8 @@ def _tab_lines(fh, path, start=1):
     """Yield ``(line number, fields)`` for each non-blank line of the text
     file ``fh``, numbered from ``start``, its line end stripped and its
     fields split at tabs; undecodable text raises a :class:`ParseError`
-    naming ``path``."""
-    with naming_undecodable(path):
+    naming ``path`` and the line of the bad byte."""
+    with naming_undecodable(path, fh.buffer):
         for lineno, line in enumerate(fh, start=start):
             line = line.rstrip("\r\n")
             if line:
@@ -222,8 +222,7 @@ def _read_counts(path, line_entries, label_column, positive, weight_optional=Fal
             return _accumulate(_count_blocks(fh, label_column, positive, weight_optional), path, capacity)
         except _Irregular:
             fh.seek(0)
-        # As open(path, "r"): universal newlines and 8 KB decode pieces, so
-        # the line numbers and error texts are the same.
+        # As open(path, "r"): universal newlines, so the same line numbers.
         text = io.TextIOWrapper(fh, encoding="utf-8")
         return _accumulate(_batched(line_entries(text, path)), path, capacity)
 
@@ -310,7 +309,7 @@ def load_relation_counts(path) -> tuple[VocabularyMaps, np.ndarray]:
 def load_hierarchy_file(path) -> list[tuple[str, str]]:
     """Read tab-separated parent/child edges."""
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(_opened(path), encoding="utf-8") as fh:
         for lineno, parts in _tab_lines(fh, path):
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise ParseError("expected 'parent<TAB>child'", path=path, line=lineno)
@@ -321,7 +320,7 @@ def load_hierarchy_file(path) -> list[tuple[str, str]]:
 def _attribute_names(fh, path) -> tuple[tuple[str, ...], int]:
     """Return the attribute names in the header line that the text file
     ``fh`` starts with, and the line's length in bytes."""
-    with naming_undecodable(path):
+    with naming_undecodable(path, fh.buffer):
         header = fh.readline()
     cells = header.rstrip("\r\n").split("\t")
     if not cells or cells[0] != "label":
@@ -336,7 +335,7 @@ def _attribute_names(fh, path) -> tuple[tuple[str, ...], int]:
 
 def read_attribute_names(path) -> tuple[str, ...]:
     """Return the attribute column names from a table header."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(_opened(path), encoding="utf-8") as fh:
         return _attribute_names(fh, path)[0]
 
 
@@ -348,12 +347,16 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def _zeroed_table(vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroed ``(assoc, mask, seen)`` to read ``m`` attributes into; the mask is bool."""
+    n = len(vocab.labels)
+    return np.zeros((n, m)), np.zeros((n, m), dtype=bool), np.zeros(n, dtype=bool)
+
+
 def _table_lines(fh, path, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read the ``m``-attribute rows past the header of the text file ``fh``
     into ``(assoc, mask)``; a :class:`ParseError` names the first bad line."""
-    A = np.zeros((len(vocab.labels), m))
-    mask = np.zeros((len(vocab.labels), m))
-    seen = np.zeros(len(vocab.labels), dtype=bool)
+    A, mask, seen = _zeroed_table(vocab, m)
     for lineno, cells in _tab_lines(fh, path, start=2):
         if len(cells) != m + 1:
             raise ParseError(f"expected {m + 1} fields, got {len(cells)}", path=path, line=lineno)
@@ -416,8 +419,8 @@ def _table_block(block, vocab: VocabularyMaps, A, mask) -> np.ndarray:
     if not np.isfinite(values).all():
         raise _Irregular
     A[rows] = values
-    mask[rows] = 1.0
-    mask[rows[cells // width], cells % width - 1] = 0.0
+    mask[rows] = True
+    mask[rows[cells // width], cells % width - 1] = False
     return rows
 
 
@@ -427,9 +430,7 @@ def _table_blocks(fh, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.nda
     of lines at a time (:func:`_table_block`, whose temporaries are freed
     before the next block is read). Raises :class:`_Irregular` where that
     does, and on a repeated label."""
-    A = np.zeros((len(vocab.labels), m))
-    mask = np.zeros((len(vocab.labels), m))
-    seen = np.zeros(len(vocab.labels), dtype=bool)
+    A, mask, seen = _zeroed_table(vocab, m)
     rows_read = 0
     for block in _line_blocks(fh, _TABLE_BLOCK_BYTES):
         rows = _table_block(block, vocab, A, mask)

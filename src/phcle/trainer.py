@@ -182,7 +182,7 @@ def _fit(Ds, tables, hyper: HyperParams):
     descriptions = []
     for item, b in zip(tables, hyper.beta):
         A, I = (item.assoc, item.mask) if isinstance(item, AttributeContext) else item
-        descriptions.append((np.asarray(A, dtype=np.float64), np.asarray(I, dtype=np.float64), hyper.lambda1 * b))
+        descriptions.append((np.asarray(A, dtype=np.float64), np.asarray(I), hyper.lambda1 * b))
     return _train_engine(relations, descriptions, hyper)
 
 

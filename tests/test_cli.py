@@ -483,38 +483,40 @@ class TestBuildCooc:
         relations.write_bytes(b"cat\tfarm\ncow\tb\xffrn\t2\n")
         out = tmp_path / "cooc.tsv"
         assert main(["build-cooc", "--relations", str(relations), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {relations}: {decode_error(relations)}\n"
+        assert capsys.readouterr().err == f"error: {relations}:2: {decode_error(relations)}\n"
         assert not out.exists()
 
 
 class TestUndecodableInputs:
     """An input file holding a byte that is not UTF-8 exits 2 with an
-    error naming the file, and writes nothing."""
+    error naming the file, and the byte's line in a count, hierarchy or
+    attribute file, and writes nothing."""
 
-    def run(self, capsys, path, argv):
+    def run(self, capsys, path, argv, line=None):
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {path}: {decode_error(path)}\n"
+        where = f"{path}:{line}" if line else path
+        assert capsys.readouterr().err == f"error: {where}: {decode_error(path)}\n"
 
-    def train(self, workspace, capsys, bad):
+    def train(self, workspace, capsys, bad, line=None):
         model = workspace / "model.bin"
         cooc = workspace / "cooc.tsv"
         assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
         argv = ["train", "--cooc", str(cooc), "--attrs", str(workspace / "attrs.tsv")]
-        self.run(capsys, bad, argv + ["--config", str(workspace / "config"), "--out", str(model)])
+        self.run(capsys, bad, argv + ["--config", str(workspace / "config"), "--out", str(model)], line)
         assert not model.exists()
 
     def test_hierarchy_file(self, tmp_path, capsys):
         hierarchy = tmp_path / "h.tsv"
         hierarchy.write_bytes(b"a\tb\nb\tc\xff\n")
         out = tmp_path / "cooc.tsv"
-        self.run(capsys, hierarchy, ["build-cooc", "--hierarchy", str(hierarchy), "--out", str(out)])
+        self.run(capsys, hierarchy, ["build-cooc", "--hierarchy", str(hierarchy), "--out", str(out)], line=2)
         assert not out.exists()
 
     def test_attribute_table(self, workspace, capsys):
         attrs = workspace / "attrs.tsv"
         attrs.write_bytes(ATTRS.encode() + b"d\xffg\t4\t1\n")
-        self.train(workspace, capsys, attrs)
+        self.train(workspace, capsys, attrs, line=4)
 
     def test_config_file(self, workspace, capsys):
         config = workspace / "config"
@@ -815,7 +817,7 @@ class TestTrainCommand:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {cooc}: {decode_error(cooc)}\n"
+        assert capsys.readouterr().err == f"error: {cooc}:2: {decode_error(cooc)}\n"
         assert not (workspace / "model.bin").exists()
 
     def test_bad_cooc_line_keeps_its_line_number(self, tmp_path):

@@ -1,7 +1,8 @@
 """The block tokenizer behind ``read_cooccurrence_tsv`` and
 ``load_relation_counts`` against the line-by-line readers it replaced,
-kept here verbatim as references: every file gives the same vocabulary
-and matrix bits, or the same error text."""
+kept here verbatim as references but for where an undecodable byte is
+reported: every file gives the same vocabulary and matrix bits, or the
+same error text."""
 
 import itertools
 import math
@@ -42,9 +43,9 @@ def _accumulate(entries, path) -> tuple[VocabularyMaps, np.ndarray]:
     the sorted vocabulary, and the values are added in the order given, so
     each cell sums exactly as a line-by-line loop would.
 
-    A :class:`ParseError` from ``entries`` keeps its line; any other
-    ``ValueError`` (an undecodable byte, a bad name) and a sum that
-    overflows become one naming ``path``.
+    A :class:`ParseError` from ``entries`` keeps its line; an undecodable
+    byte becomes :func:`_undecodable`'s error; any other ``ValueError`` (a
+    bad name) and a sum that overflows become one naming ``path``.
     """
     context_ids = defaultdict(itertools.count().__next__)
     label_ids = defaultdict(itertools.count().__next__)
@@ -66,6 +67,8 @@ def _accumulate(entries, path) -> tuple[VocabularyMaps, np.ndarray]:
         vocab = VocabularyMaps(labels=labels, context_lists=(contexts,))
     except ParseError:
         raise
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
     D = np.zeros((len(contexts), len(labels)))
@@ -78,6 +81,20 @@ def _accumulate(entries, path) -> tuple[VocabularyMaps, np.ndarray]:
     if not np.isfinite(D).all():
         raise ParseError("cooccurrence matrix contains non-finite entries", path=path)
     return vocab, D
+
+
+def _undecodable(path) -> ParseError:
+    """The error for a file holding a byte that is not UTF-8: the text of
+    the error that decoding the whole file gives, at the first line that
+    holds an escaped byte when the file is read as text with each such
+    byte escaped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with pytest.raises(UnicodeDecodeError) as err:
+        data.decode("utf-8")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        line = next(n for n, text in enumerate(fh, start=1) if any("\udc80" <= c <= "\udcff" for c in text))
+    return ParseError(str(err.value), path=path, line=line)
 
 
 def _relation_lines(path):
@@ -272,7 +289,7 @@ IRREGULAR = {
         "relations", b"cat\tfarm\t1\ndog\thome\t0\n",
         ":2: relation weight must be a positive finite number, got 0.0 for 'dog' -> 'home'",
     ),
-    "0xff": ("cooc", b"farm\tcat\t1\nh\xffme\tdog\t1\n", ": 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    "0xff": ("cooc", b"farm\tcat\t1\nh\xffme\tdog\t1\n", ":2: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
 }
 
 
@@ -437,13 +454,14 @@ def test_a_file_that_grows_while_read_names_the_file(tmp_path, monkeypatch):
 @pytest.mark.parametrize("which", range(len(READERS)), ids=["cooc", "relations"])
 def test_undecodable_text_past_the_first_decode_piece(tmp_path, which):
     # CRLF sends the file to the line reader, which decodes it 8 KB at a
-    # time; the error gives the bad byte's position in its piece.
+    # time; the error gives the bad byte's position in the file, and its
+    # line, not its position in the piece (4153).
     lines = CLEAN["larger than a block"].replace("\n", "\r\n").encode() * 8
     data = lines[:12345] + b"\xff" + lines[12345:]
     path = tmp_path / "counts.tsv"
     path.write_bytes(data)
     read, reference = READERS[which]
     got = assert_same_as_reference(path, read, reference)
-    assert got[0] is ParseError and "position 4153" in got[1]
+    assert got == (ParseError, f"{path}:1114: 'utf-8' codec can't decode byte 0xff in position 12345: invalid start byte")
     piped = _read_through_a_pipe(read, data)
-    assert piped[0] is ParseError and piped[1].partition(": ")[2] == got[1].partition(": ")[2]
+    assert piped[0] is ParseError and piped[1].partition(":")[2] == got[1].partition(":")[2]

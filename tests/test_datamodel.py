@@ -91,6 +91,21 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="0 or 1"):
             AttributeContext(assoc=[[1.0]], mask=[[0.5]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8, bool])
+    def test_mask_is_kept_as_a_read_only_bool_array(self, dtype):
+        given = np.array([[1, 0], [0, 1]], dtype=dtype)
+        ctx = AttributeContext(assoc=[[1.0, np.nan], [np.inf, 2.0]], mask=given)
+        assert ctx.mask.dtype == bool and not ctx.mask.flags.writeable
+        assert ctx.mask.tolist() == [[True, False], [False, True]]
+        with pytest.raises(ValueError):
+            ctx.mask[0, 0] = False
+        assert ctx.mask is not given
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2, np.inf])
+    def test_mask_other_than_zero_or_one_is_rejected(self, value):
+        with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
+            AttributeContext(assoc=[[1.0, 2.0]], mask=[[1.0, value]])
+
     def test_masked_entries_may_be_non_finite(self):
         ctx = AttributeContext(assoc=[[np.nan, 2.0]], mask=[[0.0, 1.0]])
         assert ctx.mask[0, 0] == 0.0

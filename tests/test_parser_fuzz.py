@@ -206,7 +206,7 @@ TABLES = {
     "duplicate label": (ATTRIBUTES + b"cat\tNA\tNA\n", ":5: duplicate row for label 'cat'"),
     "unknown label": (ATTRIBUTES.replace(b"dog", b"cow"), ":3: label 'cow' unknown"),
     "NA as a label": (ATTRIBUTES.replace(b"dog", b"NA"), ":3: label 'NA' unknown"),
-    "0xff": (ATTRIBUTES.replace(b"dog", b"d\xffg"), ": 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+    "0xff": (ATTRIBUTES.replace(b"dog", b"d\xffg"), ":3: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
 }
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phcle.datamodel import AttributeContext, HyperParams, VocabularyMaps, _draw_factors
+from phcle.datamodel import AttributeContext, HyperParams, VocabularyMaps, _draw_factors, save_model
 from phcle.descriptive import descriptive_objective, fista_solve_U, grad_W_descriptive
 from phcle.errors import DivergenceError
 from phcle.ingest import negative_bound_values
@@ -188,6 +188,27 @@ class TestTrainGeneralized:
         via_pair, _ = train_generalized([D], [(A, I)], hyper)
         via_ctx, _ = train_generalized([D], [AttributeContext(assoc=A, mask=I)], hyper)
         assert np.array_equal(via_pair.W, via_ctx.W)
+
+    def test_bool_mask_context_writes_the_float_mask_model(self, tmp_path):
+        # AttributeContext keeps its mask as bool; the engine reads it as
+        # it is, where a tuple's float64 mask is read as I != 0.
+        D, A, I, vocab = small_instance(11, labels=30, contexts=8, attrs=5)
+        A2 = np.random.default_rng(12).standard_normal((30, 3))
+        I2 = np.ones_like(A2)
+        I2[4], I2[9, 1], I2[20:23, 0] = 0.0, 0.0, 0.0
+        A2[I2 == 0] = np.nan  # placeholders the mask hides
+        A2[9, 1] = -0.0
+        A[I == 0] = -0.0
+        vocab = VocabularyMaps(vocab.labels, vocab.context_lists, (vocab.attributes, ("p", "q", "r")))
+        hyper = small_hyper(beta=(0.6, 0.4), inner_max_iter=20)
+        contexts = [AttributeContext(assoc=A, mask=I.astype(bool)), AttributeContext(assoc=A2, mask=I2)]
+        assert all(ctx.mask.dtype == bool for ctx in contexts)
+        runs = {}
+        for name, tables in (("bool", contexts), ("float", [(A, I), (A2, I2)])):
+            model, history = train_generalized([D], tables, hyper)
+            save_model(tmp_path / name, model, vocab, hyper)
+            runs[name] = (tmp_path / name).read_bytes(), numeric_history(history)
+        assert runs["bool"] == runs["float"]
 
     def test_split_weights_over_duplicated_context(self):
         # Two copies of one relational context at alpha 0.5 each walk the
