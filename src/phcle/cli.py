@@ -3,6 +3,9 @@
 Commands: build-cooc, train, retrieve, correlate, describe, export.
 Exit codes: 0 success, 1 I/O failure, 2 malformed input or arguments,
 3 training divergence.
+
+Each command imports the modules it runs when it runs, so a query loads
+neither the training stack nor the input file readers.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ import argparse
 import itertools
 import math
 import os
-import shlex
 import stat
-import subprocess
 import sys
 from dataclasses import replace
 
@@ -28,26 +29,7 @@ from .datamodel import (
     save_embeddings,
     save_model,
 )
-from .errors import DivergenceError, ParseError, naming_undecodable
-from .evaluation import (
-    cluster_order,
-    correlation_matrix,
-    correlation_to_tsv,
-    describe_embedding,
-    retrieve_labels,
-)
-from .ingest import (
-    _accumulate,
-    _batched,
-    _read_counts,
-    _tab_lines,
-    hierarchy_to_relations,
-    load_attribute_table,
-    load_hierarchy_file,
-    load_relation_counts,
-    read_attribute_names,
-)
-from .trainer import train_generalized
+from .errors import DivergenceError, ParseError, read_text
 
 # Each config key (key=value lines, '#' comments) and the HyperParams field
 # it sets, in the order the defaults are noted and the values are checked.
@@ -94,21 +76,20 @@ def load_config(path) -> HyperParams:
     and say so on stderr.
     """
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", path=path, line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
-            if key in raw:
-                raise ParseError(f"duplicate config key {key!r}", path=path, line=lineno)
-            if not value:
-                raise ParseError(f"empty value for {key!r}", path=path, line=lineno)
-            raw[key] = value
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", path=path, line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
+        if key in raw:
+            raise ParseError(f"duplicate config key {key!r}", path=path, line=lineno)
+        if not value:
+            raise ParseError(f"empty value for {key!r}", path=path, line=lineno)
+        raw[key] = value
     defaults = HyperParams()
     for key, field in CONFIG_KEYS.items():
         if key not in raw:
@@ -167,6 +148,8 @@ def write_cooccurrence_tsv(path, vocab: VocabularyMaps, D: np.ndarray) -> None:
 
 
 def _cooccurrence_lines(fh, path):
+    from .ingest import _tab_lines
+
     for lineno, parts in _tab_lines(fh, path):
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", path=path, line=lineno)
@@ -183,6 +166,8 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
     """Sum a co-occurrence file into its vocabulary and counts. A bad line
     raises a :class:`ParseError` naming it; a bad name, or duplicate lines
     whose sum overflows, raise one naming the file."""
+    from .ingest import _read_counts
+
     return _read_counts(path, _cooccurrence_lines, label_column=1, positive=False)
 
 
@@ -191,6 +176,8 @@ def read_cooccurrence_tsv(path) -> tuple[VocabularyMaps, np.ndarray]:
 
 
 def cmd_build_cooc(args) -> int:
+    from .ingest import _accumulate, _batched, hierarchy_to_relations, load_hierarchy_file, load_relation_counts
+
     if args.relations is not None and (args.radius is not None or args.decay is not None):
         raise ValueError("--radius/--decay only apply to --hierarchy input")
     if args.hierarchy is not None:
@@ -207,6 +194,9 @@ def cmd_build_cooc(args) -> int:
 
 
 def _run_scorer(command: str, model_path) -> float:
+    import shlex
+    import subprocess
+
     proc = subprocess.run(
         f"{command} {shlex.quote(str(model_path))}",
         shell=True,
@@ -227,6 +217,9 @@ def _run_scorer(command: str, model_path) -> float:
 
 
 def cmd_train(args) -> int:
+    from .ingest import load_attribute_table, read_attribute_names
+    from .trainer import train_generalized
+
     if len(args.cooc) != 1:
         raise ValueError(f"train takes one co-occurrence file: --cooc given {len(args.cooc)} times")
     for path in args.attrs:
@@ -285,6 +278,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from .evaluation import retrieve_labels
+
     model, vocab, _ = load_model(args.model)
     hits = retrieve_labels(model, vocab, args.query, topk=args.topk)
     if args.tsv:
@@ -300,16 +295,12 @@ def cmd_retrieve(args) -> int:
 
 
 def _read_label_list(path) -> list[str]:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        for line in fh:
-            name = line.strip()
-            if name:
-                labels.append(name)
-    return labels
+    return [name for line in read_text(path).split("\n") if (name := line.strip())]
 
 
 def cmd_correlate(args) -> int:
+    from .evaluation import cluster_order, correlation_matrix, correlation_to_tsv
+
     model, vocab, _ = load_model(args.model)
     subset = _read_label_list(args.labels)
     if not subset:
@@ -342,8 +333,7 @@ def cmd_correlate(args) -> int:
 
 
 def _read_vector(path, expected_dim: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        tokens = fh.read().split()
+    tokens = read_text(path).split()
     try:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
@@ -354,6 +344,8 @@ def _read_vector(path, expected_dim: int) -> np.ndarray:
 
 
 def cmd_describe(args) -> int:
+    from .evaluation import describe_embedding
+
     model, vocab, _ = load_model(args.model)
     w_star = _read_vector(args.vector, model.dim)
     desc = describe_embedding(model, vocab, w_star, coverage=args.coverage, top_attrs=args.top_attrs)

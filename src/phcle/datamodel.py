@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedVersionError, naming_undecodable
+from .errors import ParseError, UnsupportedVersionError, read_text
 
 _MODEL_MAGIC = b"PHCLE1"
 _MODEL_MAGIC_GENERAL = b"PHCLG1"
@@ -378,8 +378,7 @@ def save_embeddings(model: EmbeddingModel, labels, path) -> None:
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read the text embedding format back into an ordered name->vector map."""
-    with open(path, "r", encoding="utf-8") as fh, naming_undecodable(path):
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

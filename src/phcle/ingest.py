@@ -10,7 +10,7 @@ from collections import defaultdict, deque
 import numpy as np
 
 from .datamodel import AttributeContext, VocabularyMaps
-from .errors import ParseError, naming_undecodable
+from .errors import ParseError, _opened, naming_undecodable
 
 
 def _check_relation(label: str, context: str, weight: float) -> None:
@@ -34,9 +34,8 @@ def _accumulate(blocks, path, capacity) -> tuple[VocabularyMaps, np.ndarray]:
     the arrays never grow, and blocks that hold more raise.
 
     A :class:`ParseError` from ``blocks`` keeps its line; any other
-    ``ValueError`` (an undecodable byte, a bad name, more than
-    ``capacity`` entries) and a sum that overflows become one naming
-    ``path``.
+    ``ValueError`` (a bad name, more than ``capacity`` entries) and a sum
+    that overflows become one naming ``path``.
     """
     context_ids = defaultdict(itertools.count().__next__)
     label_ids = defaultdict(itertools.count().__next__)
@@ -183,16 +182,6 @@ def _count_blocks(fh, label_column, positive, weight_optional=False):
             raise _Irregular
         names = tokens[0::width], tokens[1::width]
         yield names[1 - label_column], names[label_column], values
-
-
-def _opened(path):
-    """Open ``path`` once for binary reading; a file that cannot seek (a
-    pipe) is read into memory, so that a reader can go back over it."""
-    fh = open(path, "rb")
-    if fh.seekable():
-        return fh
-    with fh:
-        return io.BytesIO(fh.read())
 
 
 def _tab_lines(fh, path, start=1):

@@ -1,6 +1,7 @@
 import importlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,8 @@ import phcle
 from phcle.cli import (
     CONFIG_KEYS,
     GRID_VALUES,
+    _read_label_list,
+    _read_vector,
     load_config,
     main,
     read_cooccurrence_tsv,
@@ -38,6 +41,7 @@ from phcle import trainer
 from reference import DescriptiveBlock as OldDescriptiveBlock
 from reference import RelationRecord, build_cooccurrence, load_relation_file
 from reference import train as reference_train
+from test_ingest import pipe_holding
 
 RELATIONS = "cat\tfarm\ncat\tfarm\ncow\tfarm\t2\ndog\thome\ncat\thome\t0.5\n"
 ATTRS = "label\tlegs\ttail\ncat\t4\t1\ncow\t4\tNA\n"
@@ -521,19 +525,41 @@ class TestUndecodableInputs:
     def test_config_file(self, workspace, capsys):
         config = workspace / "config"
         config.write_bytes(FULL_CONFIG.encode() + b"# caf\xe9\n")
-        self.train(workspace, capsys, config)
+        self.train(workspace, capsys, config, line=17)
 
     def test_label_list(self, workspace, capsys):
         model = trained_model(workspace)
         labels = workspace / "labels.txt"
         labels.write_bytes(b"cat\nd\xffg\n")
-        self.run(capsys, labels, ["correlate", "--model", str(model), "--labels", str(labels)])
+        self.run(capsys, labels, ["correlate", "--model", str(model), "--labels", str(labels)], line=2)
 
     def test_vector_file(self, workspace, capsys):
         model = trained_model(workspace)
         vector = workspace / "vec.txt"
         vector.write_bytes(b"0.5 \xff 1")
-        self.run(capsys, vector, ["describe", "--model", str(model), "--vector", str(vector)])
+        self.run(capsys, vector, ["describe", "--model", str(model), "--vector", str(vector)], line=1)
+
+    # Each text reader and a 10-byte line of its format.
+    READERS = {
+        "config": (load_config, b"# comment\n"),
+        "label list": (_read_label_list, b"label0001\n"),
+        "vector": (lambda path: _read_vector(path, 1), b"0.5000001\n"),
+        "embeddings": (load_embeddings, b"a 0.50001\n"),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_byte_past_the_first_decode_piece_is_named_at_its_line(self, tmp_path, reader):
+        read, line = self.READERS[reader]
+        data = line * 1200 + b"d\xffg\n"  # the 0xff at file position 12001, on line 1201
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        assert "in position 12001:" in decode_error(path)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:1201: {decode_error(path)}"
+        with pipe_holding(data) as piped, pytest.raises(ParseError) as err:
+            read(piped)
+        assert str(err.value) == f"{piped}:1201: {decode_error(path)}"
 
 
 class TestTrainCommand:
@@ -919,6 +945,60 @@ class TestImports:
         code = "import sys, phcle, phcle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    QUERY = ["phcle", "phcle.cli", "phcle.datamodel", "phcle.errors", "phcle.evaluation"]
+    TRAIN = [
+        "phcle", "phcle.cli", "phcle.datamodel", "phcle.descriptive", "phcle.errors", "phcle.ingest",
+        "phcle.relational", "phcle.trainer",
+    ]
+    # The arguments of each command and the phcle modules (and subprocess)
+    # it leaves loaded.
+    COMMANDS = {
+        "build-cooc": (
+            ["build-cooc", "--relations", "relations.tsv", "--out", "out.tsv"],
+            ["phcle", "phcle.cli", "phcle.datamodel", "phcle.errors", "phcle.ingest"],
+        ),
+        "train": (["train", "--cooc", "cooc.tsv", "--attrs", "attrs.tsv", "--config", "config", "--out", "m.bin"], TRAIN),
+        "train --grid-search": (
+            [
+                "train", "--cooc", "cooc.tsv", "--attrs", "attrs.tsv", "--config", "config", "--out", "m.bin",
+                "--grid-search", f"{shlex.quote(sys.executable)} -c 'print(1)'",
+            ],
+            [*TRAIN, "subprocess"],
+        ),
+        "retrieve": (["retrieve", "--model", "model.bin", "--query", "cat"], QUERY),
+        "correlate": (["correlate", "--model", "model.bin", "--labels", "labels.txt", "--clusters", "2"], QUERY),
+        "describe": (["describe", "--model", "model.bin", "--vector", "vec.txt"], QUERY),
+        "export": (["export", "--model", "model.bin", "--out", "emb.txt"], ["phcle", "phcle.cli", "phcle.datamodel", "phcle.errors"]),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_loads_only_the_modules_it_runs(self, workspace, command):
+        trained_model(workspace)
+        (workspace / "labels.txt").write_text("cat\ncow\ndog\n")
+        (workspace / "vec.txt").write_text("1 0 0")
+        argv, expected = self.COMMANDS[command]
+        # A fresh interpreter; one grid value keeps the search to one fit.
+        code = (
+            "import sys, phcle.cli; phcle.cli.GRID_VALUES = (1.0,); code = phcle.cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'phcle' or m == 'subprocess')); sys.exit(code)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=workspace, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(expected)
+
+    def test_public_names_are_those_of_their_modules(self):
+        for name in phcle.__all__:
+            value = getattr(phcle, name)
+            assert value.__module__.startswith("phcle.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_dir_lists_the_public_names(self):
+        assert set(phcle.__all__) <= set(dir(phcle))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="module 'phcle' has no attribute 'no_such_name'"):
+            getattr(phcle, "no_such_name")
 
     # What the CLI and tests/test_acceptance.py use; nothing more is promised.
     PUBLIC = {

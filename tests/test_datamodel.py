@@ -307,8 +307,8 @@ class TestTextEmbeddings:
         path.write_bytes(b"1 2\nd\xffg 1 2\n")
         with pytest.raises(ParseError, match="'utf-8' codec can't decode byte 0xff") as err:
             load_embeddings(path)
-        assert err.value.path == path
-        assert str(err.value).startswith(f"{path}: ")
+        assert (err.value.path, err.value.line) == (path, 2)
+        assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_format_float_round_trips():

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from phcle import HyperParams, ingest, save_model, train
+from phcle import HyperParams, errors, ingest, save_model, train
 from phcle.datamodel import VocabularyMaps
 from phcle.errors import ParseError
 from phcle.ingest import (
@@ -435,7 +435,9 @@ class TestAttributeTableHandle:
             opened.append(file)
             return builtins.open(file, *args, **kwargs)
 
-        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        # The table's reader opens it through errors._opened.
+        for module in (ingest, errors):
+            monkeypatch.setattr(module, "open", counting_open, raising=False)
         with contextlib.ExitStack() as stack:
             if case == "pipe":
                 path = stack.enter_context(pipe_holding(data))
