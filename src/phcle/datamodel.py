@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import os
 import re
 import struct
@@ -43,11 +44,11 @@ _MODEL_MAGIC_GENERAL = b"PHCLG1"
 DEFAULT_INIT_SCHEME = "uniform_random(0.1)"
 
 
-def _frozen_array(x, name, *, finite=True, dtype=np.float64):
+def _frozen_array(x, name, dtype=np.float64):
     arr = np.array(x, dtype=dtype, order="C", copy=True)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -165,23 +166,24 @@ class AttributeContext:
     values of any numeric or bool dtype and kept as a read-only bool array.
 
     Entries of ``assoc`` where ``mask`` is False carry no information: any
-    value (even a non-finite one) is permitted there and must never
-    influence a computation.
+    value (even a non-finite one) is permitted there and is stored as +0.0.
     """
 
     assoc: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        assoc = _frozen_array(self.assoc, "assoc", finite=False)
         mask = np.asarray(self.mask)
         if mask.dtype != bool and not np.isin(mask, (0, 1)).all():
             raise ValueError("mask entries must be 0 or 1")
-        mask = _frozen_array(mask, "mask", finite=False, dtype=bool)
+        mask = _frozen_array(mask, "mask", dtype=bool)
+        assoc = np.array(self.assoc, dtype=np.float64, order="C")  # a copy; 2-D, as it has the mask's shape
         if mask.shape != assoc.shape:
             raise ValueError(f"mask shape {mask.shape} does not match assoc shape {assoc.shape}")
-        if not np.isfinite(assoc[mask]).all():
+        np.copyto(assoc, 0.0, where=~mask)
+        if not np.isfinite(assoc).all():
             raise ValueError("assoc contains non-finite observed entries")
+        assoc.setflags(write=False)
         object.__setattr__(self, "assoc", assoc)
         object.__setattr__(self, "mask", mask)
 
@@ -290,6 +292,12 @@ class HyperParams:
     beta: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        for name in _HYPER_I64:  # a model file stores each as an int64
+            try:
+                if operator.index(getattr(self, name)) > 2**63 - 1:
+                    raise ValueError(f"{name} must be <= {2**63 - 1}")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         for name in ("lambda1", "lambda2", "lambda3", "negative_samples", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -302,9 +310,6 @@ class HyperParams:
         for name in ("outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in _HYPER_I64:  # a model file stores each as an int64
-            if getattr(self, name) > 2**63 - 1:
-                raise ValueError(f"{name} must be <= {2**63 - 1}")
         parse_init_scheme(self.init_scheme)
         object.__setattr__(self, "alpha", _simplex_weights(self.alpha, "alpha"))
         # A negative descriptive weight would make the smooth subproblem

@@ -5,10 +5,10 @@ entries only; U additionally carries an l1 penalty (lambda2) and an l2
 penalty (lambda3), minimized with an accelerated proximal gradient loop.
 
 Every masked residual is formed by a :class:`DescriptiveBlock`, which holds,
-for one ``(A, I)`` pair, its weight, the observed cells as a bool array,
-``A`` with its unobserved cells at +0.0 (so placeholders such as NaN never
-reach the arithmetic) and a ``labels x attrs`` buffer. A residual is
-written into that buffer in three passes:
+for one :class:`~phcle.datamodel.AttributeContext`, its weight, its bool
+mask of observed cells, its ``assoc`` as ``A_obs`` (+0.0 where unobserved,
+so placeholders such as NaN never reach the arithmetic) and a
+``labels x attrs`` buffer. A residual is written into it in three passes:
 
     buf = W^T U;   buf *= observed;   buf = A_obs - buf
 
@@ -37,17 +37,18 @@ extrapolates with ``beta = 0``, so those two keep the bits of a solve that
 evaluates at Z.
 
 A training run prepares each block once, so no step converts, checks or
-allocates a ``labels x attrs`` array. ``A_obs`` is ``A`` itself when every
-unobserved cell of ``A`` is +0.0 (a ``-0.0`` or any other placeholder gets
-a masked copy), and the blocks, which run one after another, share one
-flat buffer, each in a contiguous view of its start. Masked writes stay out
-of the loop: on a random 4000 x 150 mask, 60% observed, ``np.where``,
-``np.copyto(where=)``, ``np.putmask`` and boolean indexing took 3.4 to
-4.4 ms against 0.5 ms for the multiply. The one case the multiply gets
-wrong is a ``W^T U`` that overflowed in an unobserved cell: ``inf * 0``
-leaves NaN where the masked formula has 0. That NaN reaches the gradient
-and the sum of squares, so those are checked late, and only a non-finite
-one clears the unobserved cells and is computed again.
+allocates a ``labels x attrs`` array: the context was checked when it was
+built (the public functions below build one from ``(A, I)``, so a mask
+cell other than 0 or 1, or a non-finite observed cell, raises
+:class:`ValueError` there), and the blocks, which run one after another,
+share one flat buffer, each in a contiguous view of its start. Masked
+writes stay out of the loop: on a random 4000 x 150 mask, 60% observed,
+``np.where``, ``np.copyto(where=)``, ``np.putmask`` and boolean indexing
+took 3.4 to 4.4 ms against 0.5 ms for the multiply. The one case the
+multiply gets wrong is a ``W^T U`` that overflowed in an unobserved cell:
+``inf * 0`` leaves NaN where the masked formula has 0. That NaN reaches
+the gradient and the sum of squares, so those are checked late, and only
+a non-finite one clears the unobserved cells and is computed again.
 
 A solve runs over only the label rows with an observed cell: a row with
 none has a +0.0 residual whatever U is, so its column of W adds nothing to
@@ -67,30 +68,25 @@ import copy
 
 import numpy as np
 
+from .datamodel import AttributeContext
 from .errors import DivergenceError
 
 LIPSCHITZ_FLOOR = 1e-12
 
 
 class DescriptiveBlock:
-    """One descriptive context, float64 ``A`` and mask ``I`` (kept as it is
-    if bool, else read as ``I != 0``) at ``weight``, prepared once: its
-    residuals, objective term, gradients and the solve of its attribute
-    factor ``factor``. It computes in ``buf``, a flat float64 array of at
-    least ``A.size`` elements, or else in one of its own.
-    ``kept`` indexes the label rows with an observed cell: all of them, as
-    a slice, when every row has one."""
+    """One :class:`~phcle.datamodel.AttributeContext` ``ctx`` at ``weight``,
+    prepared once: its residuals, objective term, gradients and the solve
+    of its attribute factor ``factor``. It computes in ``buf``, a flat
+    float64 array of at least ``ctx.assoc.size`` elements, or else in one
+    of its own. ``kept`` indexes the label rows with an observed cell: all
+    of them, as a slice, when every row has one."""
 
-    def __init__(self, A, I, weight: float, n_labels: int, index: int = 0, buf=None, factor=None):
-        if A.shape != I.shape:
-            raise ValueError(f"descriptive context {index}: assoc {A.shape} and mask {I.shape} differ")
-        if A.ndim != 2 or A.shape[0] != n_labels:
+    def __init__(self, ctx, weight: float, n_labels: int, index: int = 0, buf=None, factor=None):
+        A = self.A_obs = ctx.assoc
+        if A.shape[0] != n_labels:
             raise ValueError(f"descriptive context {index} has shape {A.shape}, expected {n_labels} label rows")
-        self.name, self.weight, self.factor = f"U[{index}]", weight, factor
-        self.observed = I.astype(bool, copy=False)
-        hidden = A[~self.observed]
-        positive_zeros = not (hidden.any() or np.signbit(hidden).any())
-        self.A_obs = A if positive_zeros else np.where(self.observed, A, 0.0)
+        self.name, self.weight, self.factor, self.observed = f"U[{index}]", weight, factor, ctx.mask
         self.buf = (np.empty(A.size) if buf is None else buf)[: A.size].reshape(A.shape)
         kept = np.flatnonzero(self.observed.any(axis=1))
         self.kept = slice(None) if kept.size == n_labels else kept
@@ -192,11 +188,11 @@ class DescriptiveBlock:
 
 
 def _block(A, I, W, U, weight):
-    """A checked float64 block holding ``U`` as its factor, and ``W``."""
+    """A block of ``AttributeContext(A, I)`` holding ``U`` as its factor, and ``W``."""
     A, W, U = (np.asarray(x, dtype=np.float64) for x in (A, W, U))
     if W.shape[0] != U.shape[0] or A.shape != (W.shape[1], U.shape[1]):
         raise ValueError(f"assoc {A.shape}, W {W.shape} and U {U.shape} do not fit: W is dim x labels, U dim x attrs")
-    return DescriptiveBlock(A, np.asarray(I), weight, W.shape[1], factor=U), W
+    return DescriptiveBlock(AttributeContext(A, I), weight, W.shape[1], factor=U), W
 
 
 def descriptive_objective(A, I, W, U, weight: float) -> float:

@@ -92,7 +92,7 @@ _BLOCK_BYTES = 1 << 15
 # each. From 64 KB to 1 MB the size moved the parse of the wide benchmark's
 # tables by less than run-to-run noise; a block's text, tokens and values
 # take about ten times its size, which at 256 KB stays below what
-# AttributeContext's checks of a 4000x150 table take.
+# AttributeContext's copy of a 4000x150 table takes.
 _TABLE_BLOCK_BYTES = 1 << 18
 _TAB, _NEWLINE, _CR = 9, 10, 13
 

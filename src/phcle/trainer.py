@@ -104,16 +104,16 @@ def _check_finite(it, name, factor):
 
 
 def _train_engine(relations, descriptions, hyper: HyperParams):
-    """Train on ``(D, weight)`` and ``(A, I, weight)`` contexts, each prepared once as a block."""
+    """Train on ``(D, weight)`` and ``(AttributeContext, weight)`` contexts, each prepared once as a block."""
     n_labels = relations[0][0].shape[1]
     relational = [
         _RelationalBlock(i, D, weight, n_labels, hyper.negative_samples)
         for i, (D, weight) in enumerate(relations)
     ]
     # The descriptive blocks work one after another, so they share a buffer.
-    shared = np.empty(max(A.size for A, _, _ in descriptions))
+    shared = np.empty(max(ctx.assoc.size for ctx, _ in descriptions))
     descriptive = [
-        DescriptiveBlock(A, I, weight, n_labels, j, shared) for j, (A, I, weight) in enumerate(descriptions)
+        DescriptiveBlock(ctx, weight, n_labels, j, shared) for j, (ctx, weight) in enumerate(descriptions)
     ]
     blocks = relational + descriptive
     W, Cs, Us = _draw_factors(
@@ -179,10 +179,8 @@ def _fit(Ds, tables, hyper: HyperParams):
     if len(hyper.beta) != len(tables):
         raise ValueError(f"beta has {len(hyper.beta)} weights for {len(tables)} descriptive contexts")
     relations = [(np.asarray(D, dtype=np.float64), a) for D, a in zip(Ds, hyper.alpha)]
-    descriptions = []
-    for item, b in zip(tables, hyper.beta):
-        A, I = (item.assoc, item.mask) if isinstance(item, AttributeContext) else item
-        descriptions.append((np.asarray(A, dtype=np.float64), np.asarray(I), hyper.lambda1 * b))
+    contexts = [item if isinstance(item, AttributeContext) else AttributeContext(*item) for item in tables]
+    descriptions = [(ctx, hyper.lambda1 * b) for ctx, b in zip(contexts, hyper.beta)]
     return _train_engine(relations, descriptions, hyper)
 
 

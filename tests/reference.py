@@ -22,6 +22,7 @@ import numpy as np
 
 from phcle.datamodel import (
     DEFAULT_INIT_SCHEME,
+    AttributeContext,
     EmbeddingModel,
     HyperParams,
     VocabularyMaps,
@@ -370,7 +371,7 @@ def train(D, A, I, hyper: HyperParams, vocab: VocabularyMaps):
             f"attribute shape {A_arr.shape} does not match vocabulary "
             f"(labels={len(vocab.labels)}, attributes={len(vocab.attributes)})"
         )
-    return _train_engine([(D_arr, 1.0)], [(A_arr, I_arr, hyper.lambda1)], hyper)
+    return _train_engine([(D_arr, 1.0)], [(AttributeContext(A_arr, I_arr), hyper.lambda1)], hyper)
 
 
 # ---------------------------------------------------------------------------

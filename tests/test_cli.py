@@ -1198,7 +1198,9 @@ class TestTablesMissingLabels:
             return (model.W, model.C, model.U), history
 
         got, history = train(workspace / "new.bin")
-        monkeypatch.setattr(trainer, "DescriptiveBlock", OldDescriptiveBlock)
+        monkeypatch.setattr(
+            trainer, "DescriptiveBlock", lambda ctx, *a, **k: OldDescriptiveBlock(ctx.assoc, ctx.mask, *a, **k)
+        )
         want, old_history = train(workspace / "old.bin")
         for factor, old in zip(got, want):
             assert np.max(np.abs(factor - old)) <= 1e-10 * np.max(np.abs(old))

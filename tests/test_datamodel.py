@@ -118,6 +118,31 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="shape"):
             AttributeContext(assoc=[[1.0, 2.0]], mask=[[1.0]])
 
+    @pytest.mark.parametrize("placeholder", [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308])
+    def test_unobserved_cells_are_stored_as_positive_zeros(self, placeholder):
+        assoc = np.array([[1.5, placeholder], [placeholder, -0.0]], order="F")
+        ctx = AttributeContext(assoc=assoc, mask=[[1, 0], [0, 1]])
+        assert ctx.assoc.tobytes() == np.array([[1.5, 0.0], [0.0, -0.0]]).tobytes()
+        assert ctx.assoc.flags.c_contiguous and not ctx.assoc.flags.writeable
+        assert not np.shares_memory(ctx.assoc, assoc) and np.isnan(assoc[0, 1]) == np.isnan(placeholder)
+
+    def test_context_peaks_at_its_copies_and_one_mask(self):
+        # A 4000 x 150 table: the context holds one float64 copy of assoc
+        # and one bool copy of the mask, and only the negated mask that
+        # finds the unobserved cells is alive beside them.
+        rng = np.random.default_rng(6)
+        assoc = rng.standard_normal((4000, 150))
+        mask = rng.uniform(size=assoc.shape) < 0.6
+        assoc[~mask] = np.nan
+        tracemalloc.start()
+        try:
+            ctx = AttributeContext(assoc=assoc, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(ctx.assoc).all()
+        assert peak <= assoc.nbytes + 2 * mask.nbytes + 64 * 2**10
+
 
 class TestModelShapes:
     def test_validator_accepts_consistent_model(self):
@@ -213,6 +238,19 @@ class TestHyperParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", ["negative_samples", "outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "seed", "dim"]
+    )
+    def test_int64_fields_take_only_integers(self, name):
+        # A model file stores each as an int64, so 2.5 would train a whole
+        # run and then fail to save.
+        for value in (2.5, 3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError) as err:
+                HyperParams(**{name: value})
+            assert str(err.value) == f"{name} must be an integer, got {value!r}"
+        for value in (3, np.int64(3), np.uint8(3)):
+            assert getattr(HyperParams(**{name: value}), name) == 3
 
 
 class TestTextEmbeddings:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phcle.datamodel import HyperParams
+from phcle.datamodel import AttributeContext, HyperParams
 from phcle.descriptive import (
     LIPSCHITZ_FLOOR,
     DescriptiveBlock,
@@ -45,7 +46,7 @@ def random_problem(rng, labels, attrs, dim, mask_frac=0.3):
 def block_residual(A, I, W, U):
     """The masked residual of a :class:`DescriptiveBlock` built for ``(A, I)``."""
     A, I, W, U = (np.asarray(x, dtype=np.float64) for x in (A, I, W, U))
-    return DescriptiveBlock(A, I, 1.0, W.shape[1]).residual(W, U)
+    return DescriptiveBlock(AttributeContext(A, I), 1.0, W.shape[1]).residual(W, U)
 
 
 class TestMaskedResidual:
@@ -515,15 +516,19 @@ class TestBufferedResidualOracle:
         I[0, 0] = 1.0
         assert_same_bits(block_residual(A, I, W, U), ref_masked_residual(A, I, W, U))
 
-    @pytest.mark.parametrize("placeholder, shared", [(0.0, True), (-0.0, False), (np.nan, False)])
-    def test_assoc_is_reused_only_behind_positive_zeros(self, placeholder, shared):
-        # A block reads A itself when every unobserved cell is +0.0; -0.0
-        # there would give -0.0 - (+0.0) = -0.0 in the residual, so it gets
-        # the masked copy like any other placeholder.
+    @pytest.mark.parametrize("placeholder", [0.0, -0.0, np.nan])
+    def test_assoc_is_reused_only_behind_positive_zeros(self, placeholder):
+        # The context stores every unobserved cell as +0.0, whatever it was
+        # given there (-0.0 would give -0.0 - (+0.0) = -0.0 in the residual),
+        # and the block computes on the context's own arrays.
         A, I, W, U = oracle_instance(9)
         A[I == 0] = placeholder
-        block = DescriptiveBlock(A, I, 1.0, W.shape[1])
-        assert np.shares_memory(block.A_obs, A) == shared
+        ctx = AttributeContext(A, I)
+        hidden = ctx.assoc[~ctx.mask]
+        assert np.all(hidden == 0.0) and not np.signbit(hidden).any()
+        assert_same_bits(ctx.assoc[ctx.mask], A[I != 0])
+        block = DescriptiveBlock(ctx, 1.0, W.shape[1])
+        assert block.A_obs is ctx.assoc and block.observed is ctx.mask
         assert_same_bits(block_residual(A, I, W, U), ref_masked_residual(A, I, W, U))
         block.factor = U
         assert_same_bits(block.term(W), ref_descriptive_objective(A, I, W, U, 1.0))
@@ -637,7 +642,8 @@ class TestKeptRowsOracle:
     def test_solve_matches_the_old_block(self, dropped, seed, budget, tolerance):
         A, I, W, U0 = partial_instance(400 + seed, dropped)
         h = fista_hyper(lambda1=0.7, inner_max_iter=budget, tolerance=tolerance)
-        block, old = DescriptiveBlock(A, I, 0.7, W.shape[1]), OldDescriptiveBlock(A, I, 0.7, W.shape[1])
+        block = DescriptiveBlock(AttributeContext(A, I), 0.7, W.shape[1])
+        old = OldDescriptiveBlock(A, I, 0.7, W.shape[1])
         kept = np.flatnonzero((I != 0).any(axis=1))
         assert kept.size == round((1 - dropped) * W.shape[1])
         assert block.kept == slice(None) if dropped == 0 else np.array_equal(block.kept, kept)
@@ -657,7 +663,8 @@ class TestKeptRowsOracle:
     @pytest.mark.parametrize("dropped", [0.0, 0.2, 1.0])
     def test_term_and_W_gradient_keep_their_bits(self, dropped):
         A, I, W, U = partial_instance(500, dropped)
-        block, old = DescriptiveBlock(A, I, 0.7, W.shape[1]), OldDescriptiveBlock(A, I, 0.7, W.shape[1])
+        block = DescriptiveBlock(AttributeContext(A, I), 0.7, W.shape[1])
+        old = OldDescriptiveBlock(A, I, 0.7, W.shape[1])
         block.factor = old.factor = U
         assert_same_bits(block.term(W), old.term(W))
         G = block.grad_W(W)
@@ -670,17 +677,33 @@ class TestKeptRowsOracle:
         # The gathered rows compute in the start of the block's own buffer,
         # and a solve leaves the block holding what it held before.
         A, I, W, U = partial_instance(501, 0.2)
-        A[I == 0] = 0.0
+        ctx = AttributeContext(A, I)
         shared = np.empty(A.size + 5)
-        block = DescriptiveBlock(A, I, 1.0, W.shape[1], buf=shared)
+        block = DescriptiveBlock(ctx, 1.0, W.shape[1], buf=shared)
         before = dict(vars(block))
         part = block._on_kept_rows()
         assert part.buf.shape == part.A_obs.shape == (block.kept.size, A.shape[1])
         assert np.shares_memory(part.buf, shared) and part.buf.ctypes.data == shared.ctypes.data
-        assert block.A_obs is A
+        assert block.A_obs is ctx.assoc
         block.solve(W, U, fista_hyper())
         assert vars(block).keys() == before.keys()
         assert all(vars(block)[key] is value for key, value in before.items())
+
+    def test_block_on_a_shared_buffer_allocates_only_its_kept_rows(self):
+        # The context was checked and zeroed when it was built, so the block
+        # copies nothing of it: past the index of its kept rows it holds
+        # only views.
+        A, I, W, _ = partial_instance(502, 0.2, labels=4000, attrs=150)
+        ctx = AttributeContext(A, I)
+        shared = np.empty(A.size)
+        tracemalloc.start()
+        try:
+            block = DescriptiveBlock(ctx, 1.0, W.shape[1], buf=shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.kept.size == 3200 and np.shares_memory(block.buf, shared)
+        assert peak <= 64 * 2**10 + block.kept.nbytes
 
 
 finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

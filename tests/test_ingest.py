@@ -299,10 +299,11 @@ class TestAttributeTableBlocks:
 
     def test_memory_stays_within_the_result_and_a_few_blocks(self, tmp_path, monkeypatch):
         # 4000 x 150 cells of 3 decimals, like the wide benchmark's tables.
-        # Past the two result arrays and AttributeContext's copies of them,
-        # the peak holds AttributeContext's checks (about 3 MB here) or a
-        # block's text, tokens and values; one block for the whole file
-        # peaked about 10 MB higher. The slack is 16 blocks of 256 KB.
+        # Past the reader's two arrays and AttributeContext's copies of
+        # them, the peak holds the negated mask that finds the unobserved
+        # cells (0.6 MB here) or a block's text, tokens and values; one
+        # block for the whole file peaked about 10 MB higher. The slack is
+        # 16 blocks of 256 KB.
         rng = np.random.default_rng(5)
         labels = tuple(f"L{i:05d}" for i in range(4000))
         names = tuple(f"a{j:03d}" for j in range(150))
@@ -318,9 +319,11 @@ class TestAttributeTableBlocks:
 
     def test_bool_masks_keep_a_table_load_below_float_masks(self, tmp_path):
         # The same 4000 x 150 table. Its load holds the reader's assoc and
-        # AttributeContext's copy, their bool masks and the gathered
-        # observed values: the peak measured 2.80 x assoc.nbytes (12.8
-        # MiB). Float64 masks took it to 4.61 x (21.1 MiB).
+        # AttributeContext's copy, their bool masks and the negated mask
+        # that finds the unobserved cells: the peak measured 2.38 x
+        # assoc.nbytes (10.9 MiB), and 2.80 x (12.8 MiB) while the context
+        # gathered the observed values to check them. Float64 masks took
+        # it to 4.61 x (21.1 MiB).
         rng = np.random.default_rng(5)
         labels = tuple(f"L{i:05d}" for i in range(4000))
         names = tuple(f"a{j:03d}" for j in range(150))

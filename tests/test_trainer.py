@@ -190,8 +190,8 @@ class TestTrainGeneralized:
         assert np.array_equal(via_pair.W, via_ctx.W)
 
     def test_bool_mask_context_writes_the_float_mask_model(self, tmp_path):
-        # AttributeContext keeps its mask as bool; the engine reads it as
-        # it is, where a tuple's float64 mask is read as I != 0.
+        # AttributeContext keeps its mask as bool; a tuple's float64 mask
+        # is wrapped in one, and the engine reads either as it is.
         D, A, I, vocab = small_instance(11, labels=30, contexts=8, attrs=5)
         A2 = np.random.default_rng(12).standard_normal((30, 3))
         I2 = np.ones_like(A2)
@@ -209,6 +209,40 @@ class TestTrainGeneralized:
             save_model(tmp_path / name, model, vocab, hyper)
             runs[name] = (tmp_path / name).read_bytes(), numeric_history(history)
         assert runs["bool"] == runs["float"]
+
+    @pytest.mark.parametrize("fit", ["train", "train_generalized"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [("mask cell 0.5", "mask entries must be 0 or 1"), ("NaN observed", "assoc contains non-finite observed entries")],
+    )
+    def test_bad_table_raises_the_context_message(self, fit, case, message):
+        D, A, I, vocab = small_instance(10)
+        cell = np.unravel_index(int(np.argmax(I)), I.shape)
+        if case == "mask cell 0.5":
+            I[cell] = 0.5
+        else:
+            A[cell] = np.nan
+        with pytest.raises(ValueError) as err:
+            if fit == "train":
+                train(D, A, I, small_hyper(), vocab)
+            else:
+                train_generalized([D], [(A, I)], small_hyper())
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fit", ["train", "train_generalized"])
+    @pytest.mark.parametrize("placeholder", [np.nan, np.inf, -np.inf, 1e308, -0.0])
+    def test_placeholders_give_the_model_of_positive_zeros(self, fit, placeholder, tmp_path):
+        D, A, I, vocab = small_instance(15, labels=20, contexts=6, attrs=5)
+        runs = []
+        for value in (0.0, placeholder):
+            table = np.where(I != 0, A, value)
+            if fit == "train":
+                model, history = train(D, table, I, small_hyper(), vocab)
+            else:
+                model, history = train_generalized([D], [(table, I)], small_hyper())
+            save_model(tmp_path / "model.bin", model, vocab, small_hyper())
+            runs.append(((tmp_path / "model.bin").read_bytes(), numeric_history(history)))
+        assert runs[0] == runs[1]
 
     def test_split_weights_over_duplicated_context(self):
         # Two copies of one relational context at alpha 0.5 each walk the
@@ -375,9 +409,8 @@ class TestEngineOracle:
         # Three tables of different widths, the widest in the middle, so the
         # shared residual buffer is viewed at three shapes; with this many
         # labels np.sum of a strided column slice would round differently
-        # from the contiguous view. Their unobserved cells hold +0.0 (the
-        # assoc itself is read), -0.0 and NaN (both read through a masked
-        # copy).
+        # from the contiguous view. Their unobserved cells hold +0.0, -0.0
+        # and NaN, which the contexts built from them store as +0.0.
         rng = np.random.default_rng(13)
         labels = 1000
         Ds = [rng.integers(0, 4, size=(n, labels)).astype(float) for n in (12, 9)]
@@ -427,7 +460,9 @@ class TestPartialTables:
             A2[17], I2[17] = (2.5, 0.0, -1.0), (1.0, 0.0, 1.0)
         hyper = small_hyper(beta=(0.6, 0.4), inner_max_iter=20, init_scheme="uniform_random(0.5)")
         got = train_generalized([D], [(A, I), (A2, I2)], hyper)
-        monkeypatch.setattr(trainer, "DescriptiveBlock", OldDescriptiveBlock)
+        monkeypatch.setattr(
+            trainer, "DescriptiveBlock", lambda ctx, *a, **k: OldDescriptiveBlock(ctx.assoc, ctx.mask, *a, **k)
+        )
         want = train_generalized([D], [(A, I), (A2, I2)], hyper)
         assert_close_runs(got, want)
         assert got[1].records[-1].fista_iterations > 0
