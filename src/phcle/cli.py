@@ -211,9 +211,12 @@ def _run_scorer(command: str, model_path) -> float:
     if not lines:
         raise ValueError("scoring command printed no score")
     try:
-        return float(lines[-1])
+        score = float(lines[-1])
     except ValueError:
         raise ValueError(f"scoring command's last line is not a number: {lines[-1]!r}") from None
+    if not math.isfinite(score):  # a NaN would compare as neither better nor worse
+        raise ValueError(f"scoring command's last line is not a finite number: {lines[-1]!r}")
+    return score
 
 
 def cmd_train(args) -> int:

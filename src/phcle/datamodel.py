@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import numbers
 import operator
 import os
 import re
@@ -250,7 +252,10 @@ GeneralizedVocabulary = VocabularyMaps
 
 
 def _simplex_weights(values, name):
-    weights = tuple(float(v) for v in values)
+    weights = tuple(values) if np.iterable(values) and not isinstance(values, (str, bytes)) else None
+    if weights is None or not all(isinstance(v, numbers.Real) for v in weights):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
+    weights = tuple(map(float, weights))
     if not weights:
         raise ValueError(f"{name} must contain at least one weight")
     if any(w < 0 for w in weights):
@@ -298,18 +303,23 @@ class HyperParams:
                     raise ValueError(f"{name} must be <= {2**63 - 1}")
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        for name in _HYPER_F64:  # and each of these as a float64
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("lambda1", "lambda2", "lambda3", "negative_samples", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("step_size", "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in _HYPER_F64:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("outer_iters", "inner_steps_c", "inner_steps_w", "inner_max_iter", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.init_scheme, str):
+            raise ValueError(f"init_scheme must be a string, got {self.init_scheme!r}")
         parse_init_scheme(self.init_scheme)
         object.__setattr__(self, "alpha", _simplex_weights(self.alpha, "alpha"))
         # A negative descriptive weight would make the smooth subproblem
@@ -422,42 +432,24 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
 # Binary model persistence
 
 
-class _Writer:
-    def __init__(self):
-        self.chunks = []
+class _Writer(list):
+    """The model file's bytes, one chunk per write."""
 
-    def raw(self, b: bytes):
-        self.chunks.append(b)
-
-    def u64(self, v: int):
-        self.chunks.append(struct.pack("<Q", v))
-
-    def i64(self, v: int):
-        self.chunks.append(struct.pack("<q", v))
-
-    def f64(self, v: float):
-        self.chunks.append(struct.pack("<d", v))
+    def pack(self, fmt: str, *values):
+        self.append(struct.pack(fmt, *values))
 
     def matrix(self, arr: np.ndarray):
-        self.chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        self.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     def string(self, s: str):
         b = s.encode("utf-8")
-        self.u64(len(b))
-        self.raw(b)
+        self.pack("<Q", len(b))
+        self.append(b)
 
     def names(self, names):
-        self.u64(len(names))
+        self.pack("<Q", len(names))
         for n in names:
             self.string(n)
-
-    def floats(self, values):
-        self.u64(len(values))
-        for v in values:
-            self.f64(v)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.chunks)
 
 
 class _Reader:
@@ -467,23 +459,15 @@ class _Reader:
         self.path = path
 
     def _advance(self, n: int) -> int:
-        """Where the next ``n`` bytes start; the reader moves past them."""
+        """Where the next ``n`` bytes start; the reader moves past them. A
+        size read from the file comes here before it sizes a struct format."""
         if self.pos + n > len(self.data):
             raise ParseError("truncated model file", path=self.path)
         start, self.pos = self.pos, self.pos + n
         return start
 
-    def raw(self, n: int) -> bytes:
-        return self.data[self._advance(n) : self.pos]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.raw(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.raw(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """A read-only view into the file's bytes, with no slice copied."""
@@ -491,36 +475,38 @@ class _Reader:
         return np.frombuffer(self.data, "<f8", rows * cols, start).reshape(rows, cols)
 
     def string(self) -> str:
-        n = self.u64()
+        (n,) = self.unpack("<Q")
         try:
-            return self.raw(n).decode("utf-8")
+            return self.data[self._advance(n) : self.pos].decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError("invalid UTF-8 in name table", path=self.path) from None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.string() for _ in range(self.u64()))
+        return tuple(self.string() for _ in range(*self.unpack("<Q")))
 
     def floats(self) -> tuple[float, ...]:
-        return tuple(self.f64() for _ in range(self.u64()))
+        (n,) = self.unpack("<Q")
+        start = self._advance(8 * n)
+        return struct.unpack_from(f"<{n}d", self.data, start)
 
     def expect_end(self):
         if self.pos != len(self.data):
             raise ParseError("trailing bytes after model payload", path=self.path)
 
 
+_HEADER = "<4Q"  # dim, labels, then contexts and attributes (PHCLE1) or relational and descriptive contexts (PHCLG1)
+_HYPER_LAYOUT = f"<{len(_HYPER_F64)}d{len(_HYPER_I64)}q"
+
+
 def _write_hyper(w: _Writer, hyper: HyperParams):
-    for name in _HYPER_F64:
-        w.f64(getattr(hyper, name))
-    for name in _HYPER_I64:
-        w.i64(getattr(hyper, name))
+    w.pack(_HYPER_LAYOUT, *(getattr(hyper, name) for name in _HYPER_F64 + _HYPER_I64))
     w.string(hyper.init_scheme)
-    w.floats(hyper.alpha)
-    w.floats(hyper.beta)
+    for weights in (hyper.alpha, hyper.beta):
+        w.pack(f"<Q{len(weights)}d", len(weights), *weights)
 
 
 def _read_hyper(r: _Reader) -> HyperParams:
-    fields = {name: r.f64() for name in _HYPER_F64}
-    fields.update((name, r.i64()) for name in _HYPER_I64)
+    fields = dict(zip(_HYPER_F64 + _HYPER_I64, r.unpack(_HYPER_LAYOUT)))
     # keyword arguments are evaluated left to right, so in file order
     return HyperParams(**fields, init_scheme=r.string(), alpha=r.floats(), beta=r.floats())
 
@@ -537,34 +523,26 @@ def save_model(path, model: EmbeddingModel, vocab: VocabularyMaps, hyper: HyperP
     the hyperparameter block. The round-trip is bitwise lossless.
     """
     model.check_shapes(vocab)
-    w = _Writer()
-    if len(model.Cs) == len(model.Us) == 1:
-        w.raw(_MODEL_MAGIC)
-        w.u64(model.dim)
-        w.u64(len(vocab.labels))
-        w.u64(len(vocab.contexts))
-        w.u64(len(vocab.attributes))
-        w.matrix(model.W)
+    classic = len(model.Cs) == len(model.Us) == 1
+    w = _Writer([_MODEL_MAGIC if classic else _MODEL_MAGIC_GENERAL])
+    counts = (len(vocab.contexts), len(vocab.attributes)) if classic else (len(model.Cs), len(model.Us))
+    w.pack(_HEADER, model.dim, len(vocab.labels), *counts)
+    w.matrix(model.W)
+    if classic:
         w.matrix(model.C)
         w.matrix(model.U)
         w.names(vocab.labels)
         w.names(vocab.contexts)
         w.names(vocab.attributes)
     else:
-        w.raw(_MODEL_MAGIC_GENERAL)
-        w.u64(model.dim)
-        w.u64(len(vocab.labels))
-        w.u64(len(model.Cs))
-        w.u64(len(model.Us))
-        w.matrix(model.W)
         w.names(vocab.labels)
         for arr, names in zip((*model.Cs, *model.Us), (*vocab.context_lists, *vocab.attribute_lists)):
-            w.u64(arr.shape[1])
+            w.pack("<Q", arr.shape[1])
             w.matrix(arr)
             w.names(names)
     _write_hyper(w, hyper)
     with _atomic_open(path, "wb") as fh:
-        fh.write(w.getvalue())
+        fh.write(b"".join(w))
 
 
 def load_model(path):
@@ -578,32 +556,23 @@ def load_model(path):
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
-    magic = r.raw(6)
-    for known in (_MODEL_MAGIC, _MODEL_MAGIC_GENERAL):
-        if magic[:5] == known[:5] and magic != known:
-            raise UnsupportedVersionError(
-                f"{path}: model format version {magic!r} not supported (expected {known!r})"
-            )
+    (magic,) = r.unpack("6s")
+    known = {m[:5]: m for m in (_MODEL_MAGIC, _MODEL_MAGIC_GENERAL)}.get(magic[:5])
+    if known is None:
+        raise ParseError(f"not a model file (magic {magic!r})", path=path)
+    if magic != known:
+        raise UnsupportedVersionError(f"{path}: model format version {magic!r} not supported (expected {known!r})")
+    dim, n_labels, n_rel, n_desc = r.unpack(_HEADER)
+    W = r.matrix(dim, n_labels)
     if magic == _MODEL_MAGIC:
-        dim = r.u64()
-        n_labels = r.u64()
-        n_contexts = r.u64()
-        n_attrs = r.u64()
-        W = r.matrix(dim, n_labels)
-        C = r.matrix(dim, n_contexts)
-        U = r.matrix(dim, n_attrs)
+        Cs, Us = [r.matrix(dim, n_rel)], [r.matrix(dim, n_desc)]
         labels = r.names()
         contexts = r.names()
         attributes = r.names()
-        if len(labels) != n_labels or len(contexts) != n_contexts or len(attributes) != n_attrs:
+        if (len(labels), len(contexts), len(attributes)) != (n_labels, n_rel, n_desc):
             raise ParseError("name table sizes disagree with header", path=path)
-        Cs, Us, context_lists, attribute_lists = [C], [U], [contexts], [attributes]
-    elif magic == _MODEL_MAGIC_GENERAL:
-        dim = r.u64()
-        n_labels = r.u64()
-        n_rel = r.u64()
-        n_desc = r.u64()
-        W = r.matrix(dim, n_labels)
+        context_lists, attribute_lists = [contexts], [attributes]
+    else:
         labels = r.names()
         if len(labels) != n_labels:
             raise ParseError("label table size disagrees with header", path=path)
@@ -611,13 +580,11 @@ def load_model(path):
         blocks = ((n_rel, Cs, context_lists, "context"), (n_desc, Us, attribute_lists, "attribute"))
         for count, mats, lists, kind in blocks:
             for _ in range(count):
-                cols = r.u64()
+                (cols,) = r.unpack("<Q")
                 mats.append(r.matrix(dim, cols))
                 lists.append(r.names())
                 if len(lists[-1]) != cols:
                     raise ParseError(f"{kind} table size disagrees with factor width", path=path)
-    else:
-        raise ParseError(f"not a model file (magic {magic!r})", path=path)
     try:
         hyper = _read_hyper(r)
         r.expect_end()

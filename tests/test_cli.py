@@ -1148,6 +1148,16 @@ class TestGridSearch:
         assert capsys.readouterr().err == "error: scoring command printed no score\n"
         assert not (workspace / "model.bin").exists()
 
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_scorer_printing_a_non_finite_score_exits_two(self, workspace, capsys, monkeypatch, score):
+        # A NaN compares false both ways, so the first candidate's NaN
+        # would otherwise beat every later finite score.
+        monkeypatch.setattr("phcle.cli.GRID_VALUES", (0.1, 1.0))
+        assert self._train_with_scorer(workspace, f"echo {score}; true") == 2
+        assert capsys.readouterr().err == f"error: scoring command's last line is not a finite number: {score!r}\n"
+        assert not (workspace / "model.bin").exists()
+        assert not (workspace / "model.bin.grid.tmp").exists()
+
     def test_two_table_grid_search_picks_the_best_lambda1(self, workspace, capsys, monkeypatch):
         monkeypatch.setattr("phcle.cli.GRID_VALUES", (0.01, 0.1, 1.0))
         cooc = workspace / "cooc.tsv"

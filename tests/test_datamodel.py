@@ -3,6 +3,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,6 +252,35 @@ class TestHyperParams:
             assert str(err.value) == f"{name} must be an integer, got {value!r}"
         for value in (3, np.int64(3), np.uint8(3)):
             assert getattr(HyperParams(**{name: value}), name) == 3
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "step_size", "tolerance"])
+    def test_float64_fields_take_only_numbers(self, name):
+        for value in ("0.5", None, [0.5], 1j, b"1"):
+            with pytest.raises(ValueError) as err:
+                HyperParams(**{name: value})
+            assert str(err.value) == f"{name} must be a number, got {value!r}"
+        for value in (0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            assert getattr(HyperParams(**{name: value}), name) == 0.5
+        for value in (1, np.int64(1)):
+            assert getattr(HyperParams(**{name: value}), name) == 1
+
+    def test_init_scheme_takes_only_a_string(self):
+        for value in (3, None, b"ones"):
+            with pytest.raises(ValueError) as err:
+                HyperParams(init_scheme=value)
+            assert str(err.value) == f"init_scheme must be a string, got {value!r}"
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_weights_take_only_a_sequence_of_numbers(self, name):
+        for value in ("1", b"\x01", 1.0, None, ("1",), (None,), (0.5, "0.5")):
+            with pytest.raises(ValueError) as err:
+                HyperParams(**{name: value})
+            assert str(err.value) == f"{name} must be a sequence of numbers, got {value!r}"
+        for value in ([1], (np.float64(1.0),), np.array([0.25, 0.75]), (Fraction(1, 2), np.int8(0), 0.5)):
+            weights = getattr(HyperParams(**{name: value}), name)
+            assert weights == tuple(float(v) for v in value)
+            assert all(type(w) is float for w in weights)
+        assert getattr(HyperParams(**{name: (w for w in (0.5, 0.5))}), name) == (0.5, 0.5)
 
 
 class TestTextEmbeddings:
@@ -598,6 +628,53 @@ def test_name_table_that_disagrees_is_a_parse_error(tmp_path, capsys, case):
     path.write_bytes(data.replace(table, edited))
     assert main(["retrieve", "--model", str(path), "--query", vocab.labels[0]]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def two_context_model():
+    """A PHCLG1 model: two relational contexts (widths 2 and 1), one
+    descriptive context."""
+    rng = np.random.default_rng(9)
+    model = EmbeddingModel(
+        W=rng.standard_normal((3, 4)),
+        Cs=(rng.standard_normal((3, 2)), rng.standard_normal((3, 1))),
+        Us=(rng.standard_normal((3, 1)),),
+        dim=3,
+    )
+    vocab = VocabularyMaps(("a", "b", "c", "d"), (("x", "y"), ("p",)), (("fur",),))
+    return model, vocab, HyperParams(alpha=(0.5, 0.5), dim=3)
+
+
+# Model files with one count read from the file set far past its end: the
+# PHCLE1 file of TestBinaryModel or the PHCLG1 file of two_context_model,
+# the bytes that hold the count, and those bytes with the count n. A count
+# goes into a struct format or an array size only after the reader has
+# checked it against the bytes left.
+HUGE_COUNTS = {
+    "weight count": (False, struct.pack("<QdQd", 1, 1.0, 1, 1.0), lambda n: struct.pack("<QdQd", n, 1.0, 1, 1.0)),
+    "name-table count": (False, name_table("cat", "dog", "horse"),
+                         lambda n: struct.pack("<Q", n) + name_table("cat", "dog", "horse")[8:]),
+    "name length": (False, struct.pack("<Q", 3) + b"dog", lambda n: struct.pack("<Q", n) + b"dog"),
+    "PHCLG1 factor width": (True, name_table("a", "b", "c", "d") + struct.pack("<Q", 2),
+                            lambda n: name_table("a", "b", "c", "d") + struct.pack("<Q", n)),
+}
+
+
+@pytest.mark.parametrize("count", [2**64 - 1, 2**61], ids=["2**64-1", "2**61"])
+@pytest.mark.parametrize("case", HUGE_COUNTS)
+def test_huge_count_is_a_truncated_file(tmp_path, capsys, case, count):
+    general, held, edited = HUGE_COUNTS[case]
+    model, vocab, hyper = two_context_model() if general else TestBinaryModel().make()
+    good = tmp_path / "good.bin"
+    save_model(good, model, vocab, hyper)
+    data = good.read_bytes()
+    assert data.count(held) == 1
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data.replace(held, edited(count)))
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: truncated model file"
+    assert main(["retrieve", "--model", str(path), "--query", vocab.labels[0]]) == 2
+    assert capsys.readouterr().err == f"error: {path}: truncated model file\n"
 
 
 class TestAtomicWrites:
