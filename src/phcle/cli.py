@@ -14,7 +14,6 @@ import argparse
 import itertools
 import math
 import os
-import stat
 import sys
 from dataclasses import replace
 
@@ -220,25 +219,15 @@ def _run_scorer(command: str, model_path) -> float:
 
 
 def cmd_train(args) -> int:
-    from .ingest import load_attribute_table, read_attribute_names
+    from .ingest import load_attribute_table
     from .trainer import train_generalized
 
     if len(args.cooc) != 1:
         raise ValueError(f"train takes one co-occurrence file: --cooc given {len(args.cooc)} times")
-    for path in args.attrs:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise ValueError(
-                f"{path}: --attrs needs a regular file: train reads each table twice "
-                "(its header for the vocabulary, then the whole table), and a pipe can be read only once"
-            )
     cooc_vocab, D = read_cooccurrence_tsv(args.cooc[0])
     hyper = load_config(args.config)
-    attr_names = [read_attribute_names(path) for path in args.attrs]
-    vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, attr_names)
-    tables = [
-        load_attribute_table(path, replace(vocab, attribute_lists=(names,)))
-        for path, names in zip(args.attrs, attr_names)
-    ]
+    tables = [load_attribute_table(path, cooc_vocab) for path in args.attrs]
+    vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, [t.names for t in tables])
 
     def fit(h: HyperParams):
         return train_generalized([D], tables, h)

@@ -165,7 +165,8 @@ class VocabularyMaps:
 @dataclass(frozen=True, eq=False)
 class AttributeContext:
     """Attribute associations with a binary observation mask, given as 0/1
-    values of any numeric or bool dtype and kept as a read-only bool array.
+    values of any numeric or bool dtype and kept as a read-only bool array,
+    and the column ``names``: one per column, or none if none are given.
 
     Entries of ``assoc`` where ``mask`` is False carry no information: any
     value (even a non-finite one) is permitted there and is stored as +0.0.
@@ -173,8 +174,10 @@ class AttributeContext:
 
     assoc: np.ndarray
     mask: np.ndarray
+    names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
         mask = np.asarray(self.mask)
         if mask.dtype != bool and not np.isin(mask, (0, 1)).all():
             raise ValueError("mask entries must be 0 or 1")
@@ -182,6 +185,8 @@ class AttributeContext:
         assoc = np.array(self.assoc, dtype=np.float64, order="C")  # a copy; 2-D, as it has the mask's shape
         if mask.shape != assoc.shape:
             raise ValueError(f"mask shape {mask.shape} does not match assoc shape {assoc.shape}")
+        if self.names and len(self.names) != mask.shape[1]:
+            raise ValueError(f"{len(self.names)} column names for {mask.shape[1]} attribute columns")
         np.copyto(assoc, 0.0, where=~mask)
         if not np.isfinite(assoc).all():
             raise ValueError("assoc contains non-finite observed entries")
@@ -251,11 +256,18 @@ class EmbeddingModel:
 GeneralizedVocabulary = VocabularyMaps
 
 
+def _float64(value, name) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past the float64 range
+        raise ValueError(f"{name} is out of the float64 range") from None
+
+
 def _simplex_weights(values, name):
     weights = tuple(values) if np.iterable(values) and not isinstance(values, (str, bytes)) else None
     if weights is None or not all(isinstance(v, numbers.Real) for v in weights):
         raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
-    weights = tuple(map(float, weights))
+    weights = tuple(_float64(w, f"{name} weight") for w in weights)
     if not weights:
         raise ValueError(f"{name} must contain at least one weight")
     if any(w < 0 for w in weights):
@@ -307,7 +319,7 @@ class HyperParams:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not math.isfinite(_float64(value, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("lambda1", "lambda2", "lambda3", "negative_samples", "seed"):
             if getattr(self, name) < 0:

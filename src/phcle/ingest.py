@@ -322,12 +322,6 @@ def _attribute_names(fh, path) -> tuple[tuple[str, ...], int]:
     return names, len(header.encode("utf-8"))
 
 
-def read_attribute_names(path) -> tuple[str, ...]:
-    """Return the attribute column names from a table header."""
-    with io.TextIOWrapper(_opened(path), encoding="utf-8") as fh:
-        return _attribute_names(fh, path)[0]
-
-
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -431,11 +425,11 @@ def _table_blocks(fh, vocab: VocabularyMaps, m: int) -> tuple[np.ndarray, np.nda
 
 
 def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
-    """Read a tab-separated attribute table into an association + mask pair.
+    """Read a tab-separated attribute table over ``vocab.labels``.
 
-    The header is ``label`` followed by the attribute names, which must
-    match the vocabulary. A cell of ``NA`` marks an unobserved entry;
-    labels in the vocabulary without a row come back fully masked.
+    The header is ``label`` followed by the attribute names, which the
+    context keeps as its ``names``. A cell of ``NA`` marks an unobserved
+    entry; labels in the vocabulary without a row come back fully masked.
 
     The path is opened once (:func:`_opened`). The rows are read with
     :func:`_table_blocks`; on any irregularity they are read again with
@@ -448,19 +442,14 @@ def load_attribute_table(path, vocab: VocabularyMaps) -> AttributeContext:
         # header's; the line reader reads the same text handle.
         text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
         names, rows_start = _attribute_names(text, path)
-        if names != vocab.attributes:
-            raise ValueError(
-                f"attribute columns in {path} do not match the vocabulary "
-                f"({len(names)} columns vs {len(vocab.attributes)} attributes)"
-            )
         fh.seek(rows_start)
         try:
-            return AttributeContext(*_table_blocks(fh, vocab, len(names)))
+            return AttributeContext(*_table_blocks(fh, vocab, len(names)), names)
         except _Irregular:
             pass
         text.seek(0)
         text.readline()
-        return AttributeContext(*_table_lines(text, path, vocab, len(names)))
+        return AttributeContext(*_table_lines(text, path, vocab, len(names)), names)
 
 
 def negative_bound_values(D: np.ndarray, negative_samples: int) -> np.ndarray:

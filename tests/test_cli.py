@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import io
 import os
@@ -30,14 +31,14 @@ from phcle.datamodel import (
     save_model,
 )
 from phcle.errors import ParseError
-from phcle.ingest import hierarchy_to_relations, load_attribute_table, read_attribute_names
+from phcle.ingest import hierarchy_to_relations, load_attribute_table
 from phcle.evaluation import (
     correlation_matrix,
     correlation_to_tsv,
     describe_embedding,
     retrieve_labels,
 )
-from phcle import trainer
+from phcle import errors, trainer
 from reference import DescriptiveBlock as OldDescriptiveBlock
 from reference import RelationRecord, build_cooccurrence, load_relation_file
 from reference import train as reference_train
@@ -742,9 +743,8 @@ class TestTrainCommand:
         config = FULL_CONFIG.replace("lambda1 = 1.0", "lambda1 = 0.5")
         assert self.train_with_config(workspace, config) == 0
         cooc_vocab, D = read_cooccurrence_tsv(workspace / "cooc.tsv")
-        names = read_attribute_names(workspace / "attrs.tsv")
-        vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, (names,))
-        table = load_attribute_table(workspace / "attrs.tsv", vocab)
+        table = load_attribute_table(workspace / "attrs.tsv", cooc_vocab)
+        vocab = VocabularyMaps(cooc_vocab.labels, cooc_vocab.context_lists, (table.names,))
         hyper = load_config(workspace / "config")
         assert hyper.lambda1 == 0.5
         model, history = reference_train(D, table.assoc, table.mask, hyper, vocab)
@@ -1223,33 +1223,58 @@ class TestTablesMissingLabels:
 
 
 class TestTrainAttributePaths:
-    """train reads each table's header for the vocabulary, then loads the
-    table: a pipe would be empty the second time, so it is refused."""
+    """train opens each table once and reads its header and rows through
+    that one handle, so a piped table trains as the same file does."""
 
-    def argv(self, workspace, attrs):
+    def argv(self, workspace, *attrs, out="model.bin"):
         cooc = workspace / "cooc.tsv"
         assert main(["build-cooc", "--relations", str(workspace / "relations.tsv"), "--out", str(cooc)]) == 0
         return [
             "train",
             "--cooc", str(cooc),
-            "--attrs", str(attrs),
+            *(arg for path in attrs for arg in ("--attrs", str(path))),
             "--config", str(workspace / "config"),
-            "--out", str(workspace / "model.bin"),
+            "--out", str(workspace / out),
         ]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_refused_with_the_reason(self, workspace, capsys):
-        r, w = os.pipe()
-        try:
-            os.write(w, ATTRS.encode())
-            os.close(w)
-            argv = self.argv(workspace, f"/dev/fd/{r}")
-            capsys.readouterr()
-            assert main(argv) == 2
-        finally:
-            os.close(r)
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: /dev/fd/{r}: --attrs needs a regular file: train reads each table twice")
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_piped_table_trains_as_the_file_does(self, workspace, capsys, newline):
+        data = ATTRS.encode().replace(b"\n", newline)
+        (workspace / "attrs.tsv").write_bytes(data)
+        assert main(self.argv(workspace, workspace / "attrs.tsv", out="file.bin")) == 0
+        with pipe_holding(data) as piped:
+            assert main(self.argv(workspace, piped, out="pipe.bin")) == 0
+        assert (workspace / "pipe.bin").read_bytes() == (workspace / "file.bin").read_bytes()
+        file_history, pipe_history = (
+            np.loadtxt(workspace / f"{name}.bin.history.tsv", skiprows=1, ndmin=2) for name in ("file", "pipe")
+        )
+        assert np.array_equal(pipe_history[:, :-1], file_history[:, :-1])  # all but the seconds column
+
+    def test_each_table_is_opened_once(self, workspace, monkeypatch):
+        (workspace / "attrs2.tsv").write_text("label\tsize\ndog\t3\n")
+        (workspace / "config").write_text(FULL_CONFIG.replace("beta = 1", "beta = 0.5,0.5"))
+        tables = [str(workspace / "attrs.tsv"), str(workspace / "attrs2.tsv")]
+        argv = self.argv(workspace, *tables)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return builtins.open(file, *args, **kwargs)
+
+        # Every table is opened through errors._opened.
+        monkeypatch.setattr(errors, "open", counting_open, raising=False)
+        assert main(argv) == 0
+        assert [path for path in opened if path in tables] == tables
+
+    def test_tables_are_read_in_turn(self, workspace, capsys):
+        # A row error in the first table is met before a header error in the second.
+        (workspace / "attrs.tsv").write_text(ATTRS + "pig\t1\t2\n")
+        (workspace / "attrs2.tsv").write_text("size\ndog\t3\n")
+        argv = self.argv(workspace, workspace / "attrs.tsv", workspace / "attrs2.tsv")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {workspace / 'attrs.tsv'}:4: label 'pig' unknown\n"
         assert not (workspace / "model.bin").exists()
 
     def test_missing_table_is_an_io_error(self, workspace, capsys):

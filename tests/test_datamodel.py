@@ -119,6 +119,14 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="shape"):
             AttributeContext(assoc=[[1.0, 2.0]], mask=[[1.0]])
 
+    def test_names_are_kept_as_a_tuple_one_per_column(self):
+        assert AttributeContext(assoc=[[1.0, 2.0]], mask=[[1, 1]]).names == ()
+        ctx = AttributeContext([[1.0, 2.0]], [[1, 1]], ["legs", "tail"])
+        assert ctx.names == ("legs", "tail") and type(ctx.names) is tuple
+        for names in (["legs"], ["legs", "tail", "size"]):
+            with pytest.raises(ValueError, match=f"^{len(names)} column names for 2 attribute columns$"):
+                AttributeContext([[1.0, 2.0]], [[1, 1]], names)
+
     @pytest.mark.parametrize("placeholder", [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308])
     def test_unobserved_cells_are_stored_as_positive_zeros(self, placeholder):
         assoc = np.array([[1.5, placeholder], [placeholder, -0.0]], order="F")
@@ -259,6 +267,11 @@ class TestHyperParams:
             with pytest.raises(ValueError) as err:
                 HyperParams(**{name: value})
             assert str(err.value) == f"{name} must be a number, got {value!r}"
+        # An int past the float64 range, which float() cannot convert.
+        for value in (10**400, -(10**400), 10**5000, Fraction(10**400)):
+            with pytest.raises(ValueError) as err:
+                HyperParams(**{name: value})
+            assert str(err.value) == f"{name} is out of the float64 range"
         for value in (0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
             assert getattr(HyperParams(**{name: value}), name) == 0.5
         for value in (1, np.int64(1)):
@@ -276,6 +289,10 @@ class TestHyperParams:
             with pytest.raises(ValueError) as err:
                 HyperParams(**{name: value})
             assert str(err.value) == f"{name} must be a sequence of numbers, got {value!r}"
+        for value in ((10**400,), (0.5, -(10**400)), (Fraction(10**400),)):
+            with pytest.raises(ValueError) as err:
+                HyperParams(**{name: value})
+            assert str(err.value) == f"{name} weight is out of the float64 range"
         for value in ([1], (np.float64(1.0),), np.array([0.25, 0.75]), (Fraction(1, 2), np.int8(0), 0.5)):
             weights = getattr(HyperParams(**{name: value}), name)
             assert weights == tuple(float(v) for v in value)

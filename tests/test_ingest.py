@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import io
 import os
 import threading
 import tracemalloc
@@ -16,7 +17,6 @@ from phcle.ingest import (
     load_attribute_table,
     load_hierarchy_file,
     negative_bound_values,
-    read_attribute_names,
 )
 from reference import RelationRecord, build_cooccurrence, load_relation_file
 
@@ -175,15 +175,24 @@ class TestAttributeTable:
         with pytest.raises(ParseError, match="duplicate"):
             load_attribute_table(path, self.vocab())
 
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = self.write(tmp_path, "label\tfurry\nchat\t1\n")
-        with pytest.raises(ValueError, match="do not match"):
-            load_attribute_table(path, self.vocab())
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["block reader", "line reader"])
+    def test_names_come_from_the_header(self, tmp_path, monkeypatch, newline):
+        # The vocabulary's attribute names play no part: the header's are kept.
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes("label\tsize\ncat\t1\n".replace("\n", newline).encode())
+        line_reader = mock.Mock(wraps=ingest._table_lines)
+        monkeypatch.setattr(ingest, "_table_lines", line_reader)
+        ctx = load_attribute_table(path, self.vocab())
+        assert ctx.names == ("size",)
+        assert ctx.assoc.tolist() == [[1.0], [0.0], [0.0]]
+        assert line_reader.called == (newline == "\r\n")
 
     def test_attribute_count_comes_from_header(self, tmp_path):
         names = tuple(f"attr{i}" for i in range(85))
         path = self.write(tmp_path, "label\t" + "\t".join(names) + "\n")
-        assert read_attribute_names(path) == names
+        ctx = load_attribute_table(path, self.vocab())
+        assert ctx.names == names
+        assert ctx.mask.shape == (3, 85)
 
     def test_non_numeric_cell_reports_cell_and_line(self, tmp_path):
         path = self.write(tmp_path, "label\tfurry\tbig\ncat\t1\tNA\ndog\tNA\tlarge\n")
@@ -200,11 +209,10 @@ class TestAttributeTable:
     def test_rows_match_cell_by_cell_reference(self, tmp_path):
         # The cell-by-cell loop the row-at-a-time parser replaced.
         def reference(path, vocab):
-            names = read_attribute_names(path)
-            A = np.zeros((len(vocab.labels), len(names)))
-            mask = np.zeros(A.shape, dtype=bool)
             with open(path, encoding="utf-8") as fh:
-                fh.readline()
+                names = fh.readline().rstrip("\n").split("\t")[1:]
+                A = np.zeros((len(vocab.labels), len(names)))
+                mask = np.zeros(A.shape, dtype=bool)
                 for line in fh:
                     cells = line.rstrip("\n").split("\t")
                     row = vocab.label_index(cells[0])
@@ -230,6 +238,7 @@ class TestAttributeTable:
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         ctx = load_attribute_table(path, vocab)
         A, mask = reference(path, vocab)
+        assert ctx.names == names
         assert ctx.assoc.tobytes() == A.tobytes()
         assert ctx.mask.tobytes() == mask.tobytes()
         assert (mask == 0).all(axis=1).sum() == 3
@@ -239,7 +248,8 @@ class TestAttributeTable:
         # by the row loop.
         path = tmp_path / "attrs.tsv"
         path.write_bytes(b"label\tfurry\tbig\ncat\t1\t2\n" + b"\n" * 10000 + b"d\xffg\t1\t2\n")
-        assert read_attribute_names(path) == ("furry", "big")
+        with io.TextIOWrapper(open(path, "rb"), encoding="utf-8", newline="") as fh:
+            assert ingest._attribute_names(fh, path)[0] == ("furry", "big")
         with pytest.raises(ParseError) as err:
             load_attribute_table(path, self.vocab())
         assert str(err.value) == f"{path}:10003: 'utf-8' codec can't decode byte 0xff in position 10025: invalid start byte"

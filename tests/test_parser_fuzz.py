@@ -88,7 +88,8 @@ def check_hierarchy(edges):
 
 def check_attributes(context):
     assert isinstance(context, AttributeContext)
-    assert context.assoc.shape == context.mask.shape == (len(VOCAB.labels), len(VOCAB.attributes))
+    # The columns are the header's, which a mutation may change.
+    assert context.assoc.shape == context.mask.shape == (len(VOCAB.labels), len(context.names))
     assert np.isfinite(context.assoc).all()
     assert set(np.unique(context.mask).tolist()) <= {0.0, 1.0}
     assert not context.assoc[context.mask == 0].any()
